@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race chaos memo concurrent crash fuzz cover ci bench flowbench scale provenance conformance conformance-update
+.PHONY: build vet test race chaos memo concurrent crash fuzz cover e2ebench ci bench flowbench scale provenance conformance conformance-update
 
 build:
 	$(GO) build ./...
@@ -73,15 +73,22 @@ fuzz:
 # cover enforces the same ratchet as the CI trace job: the traced
 # execution paths (internal/exec + internal/trace), the result cache
 # (internal/memo), the conformance layer (internal/scenario +
-# internal/harness) and the provenance layer (internal/provenance)
-# stay above 90%.
+# internal/harness), the hash chain (internal/provenance) and the
+# history database with its derivation graph (internal/history) stay
+# above 90%.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/exec/ ./internal/trace/ ./internal/memo/ ./internal/scenario/ ./internal/harness/ ./internal/provenance/
+	$(GO) test -coverprofile=cover.out ./internal/exec/ ./internal/trace/ ./internal/memo/ ./internal/scenario/ ./internal/harness/ ./internal/provenance/ ./internal/history/
 	$(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$3); print "combined coverage: " $$3 "%"; exit ($$3 >= 90.0) ? 0 : 1}'
+
+# e2ebench vets and self-tests the end-to-end benchmark, a separate
+# module that the root ./... never compiles — the same gate as the CI
+# e2ebench job.
+e2ebench:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # ci is the gate CI runs: compile, vet, full suite under the race
 # detector (the scheduler is concurrent; -race is not optional).
-ci: build vet race cover
+ci: build vet race cover e2ebench
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
@@ -98,14 +105,16 @@ scale:
 	$(GO) test -run xxx -bench 'Scale|Chaining10k' -benchtime 1x ./internal/flowgen/ ./internal/history/
 	$(GO) run ./cmd/flowbench -out BENCH_scale_report.json scale
 
-# provenance runs the provenance gate: the indexed-chaining and hash-
-# chain suites under the race detector (differential against the naive
-# walkers over 20+ seeds, tamper detection naming the first bad
-# record), the service's provenance endpoint tests, then the flowbench
-# provenance section — indexed chaining over a 1.2M-instance history —
-# writing its report next to the committed record
-# (BENCH_provenance.json, acceptance floor: 10x on the deep backchain).
+# provenance runs the provenance gate: the chaining and hash-chain
+# suites under the race detector (the database's chaining differential
+# against the naive reference walkers over 20+ seeds, tamper detection
+# naming the first bad record), the service's provenance endpoint
+# tests, the chaining benchmarks (database vs naive reference), then
+# the flowbench provenance section — chaining and the hash chain over a
+# 1.2M-instance history — writing its report next to the committed
+# record (BENCH_provenance.json).
 provenance:
-	$(GO) test -race ./internal/provenance/
+	$(GO) test -race ./internal/history/ ./internal/provenance/
 	$(GO) test -race -run 'Provenance|Scenario|DurableChain|DurableResume' ./internal/service/
+	$(GO) test -run xxx -bench 'Backchain|Forwardchain' -benchtime 0.5s ./internal/history/
 	$(GO) run ./cmd/flowbench -out BENCH_provenance_report.json provenance

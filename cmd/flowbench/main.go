@@ -12,7 +12,7 @@
 //	flowbench fig6 fig11 # selected figures
 //	flowbench -quick     # smoke subset (CI): fig1 fig6 sched chaos
 //	flowbench -out BENCH_provenance.json provenance
-//	                     # indexed chaining at scale, JSON measurements
+//	                     # chaining + hash chain at scale, JSON measurements
 package main
 
 import (
@@ -86,7 +86,7 @@ var sections = []struct {
 	{"approaches", "the four design approaches", false, approachesSection},
 	{"baselines", "dynamic flows vs static flows vs traces", false, baselinesSection},
 	{"corpus", "the scenario corpus submitted to a live service over HTTP", false, corpusSection},
-	{"provenance", "indexed chaining + hash chain over a million-instance history", false, provenanceSection},
+	{"provenance", "chaining + hash chain over a million-instance history", false, provenanceSection},
 	{"scale", "synthetic 10k–100k-node flows: plan and dispatch throughput", false, scaleSection},
 	{"durable", "WAL-backed runs: write-ahead overhead and crash recovery", false, durableSection},
 }
@@ -1295,14 +1295,14 @@ func corpusSection() {
 
 // ---- provenance -------------------------------------------------------------
 
-// provenanceSection measures the provenance layer at scale
-// (internal/provenance): a chain-shaped flowgen world of 600k cells —
-// 1.2M committed instances — indexed at commit time, then the paper's
-// chaining queries answered by the naive database walkers versus the
-// commit-time index, and the tamper-evident hash chain's append and
-// verify throughput. The deep backchain is the acceptance measurement:
-// the indexed walk must beat the naive walker by ≥10x. With -out the
-// measurements are written as JSON (BENCH_provenance.json).
+// provenanceSection measures the provenance layer at scale: a
+// chain-shaped flowgen world of 600k cells — 1.2M committed instances,
+// with the database's derivation graph kept current per commit — then
+// the paper's chaining queries answered by the database, and the
+// tamper-evident hash chain's append and verify throughput. The
+// naive-walker comparison lives with the reference walkers:
+// go test -bench 'Backchain|Forwardchain' ./internal/history/. With -out
+// the measurements are written as JSON (BENCH_provenance.json).
 func provenanceSection() {
 	const cells = 600000
 	spec := flowgen.Spec{Cells: cells, Shape: flowgen.Chain, Seed: 1993}
@@ -1310,25 +1310,13 @@ func provenanceSection() {
 	t0 := time.Now()
 	b, ids := must2(g.Populate())
 	popTime := time.Since(t0)
-	fmt.Printf("world: %s shape, %d cells -> %d instances committed in %v (%.0f inst/s)\n",
-		spec.Shape, cells, b.DB.Len(), popTime.Round(time.Millisecond),
+	arcs := cells + g.Edges() // one tool arc per cell plus its inputs
+	fmt.Printf("world: %s shape, %d cells -> %d instances / %d arcs committed in %v (%.0f inst/s)\n",
+		spec.Shape, cells, b.DB.Len(), arcs, popTime.Round(time.Millisecond),
 		float64(b.DB.Len())/popTime.Seconds())
 
-	// Index build: Observe replays the whole database into the index in
-	// commit order, then keeps it current per commit.
-	t0 = time.Now()
-	idx := provenance.NewIndex()
-	b.DB.Observe(idx)
-	idxTime := time.Since(t0)
-	fmt.Printf("index: %d instances / %d arcs indexed in %v (%.0f inst/s)\n",
-		idx.Len(), idx.Edges(), idxTime.Round(time.Millisecond),
-		float64(idx.Len())/idxTime.Seconds())
-
-	// minOfPair times each side as its own block of five reps and takes
-	// the best — min-of-N is the right estimator under additive noise
-	// from shared-core neighbours, and keeping a side's reps consecutive
-	// measures its own steady-state cache behaviour rather than the
-	// other walker's evictions.
+	// minOf takes the best of five reps — min-of-N is the right
+	// estimator under additive noise from shared-core neighbours.
 	minOf := func(f func()) time.Duration {
 		runtime.GC() // start the block with a clean pacer: no assist debt in the timings
 		var best time.Duration
@@ -1341,37 +1329,20 @@ func provenanceSection() {
 		}
 		return best
 	}
-	minOfPair := func(a, b func()) (time.Duration, time.Duration) {
-		return minOf(a), minOf(b)
-	}
 
 	// Deep backchain: the tail of the longest edit chain, unbounded
 	// depth — the Fig. 10 history query at version-tree scale.
 	deep := ids[len(ids)-1]
-	naiveD := must1(b.DB.Backchain(deep, -1))
-	idxD := must1(idx.Backchain(deep, -1))
-	if len(naiveD.Nodes) != len(idxD.Nodes) || len(naiveD.Edges) != len(idxD.Edges) {
-		panic(fmt.Sprintf("differential failure: naive %d/%d vs indexed %d/%d nodes/edges",
-			len(naiveD.Nodes), len(naiveD.Edges), len(idxD.Nodes), len(idxD.Edges)))
-	}
-	naiveBack, idxBack := minOfPair(
-		func() { must1(b.DB.Backchain(deep, -1)) },
-		func() { must1(idx.Backchain(deep, -1)) })
-	backSpeed := float64(naiveBack) / float64(idxBack)
-	fmt.Printf("backchain (deep, %d nodes / %d arcs): naive %v, indexed %v — %.1fx (acceptance floor 10x)\n",
-		len(idxD.Nodes), len(idxD.Edges), naiveBack.Round(time.Microsecond),
-		idxBack.Round(time.Microsecond), backSpeed)
+	backD := must1(b.DB.Backchain(deep, -1))
+	back := minOf(func() { must1(b.DB.Backchain(deep, -1)) })
+	fmt.Printf("backchain (deep, %d nodes / %d arcs): %v\n",
+		len(backD.Nodes), len(backD.Edges), back.Round(time.Microsecond))
 
 	// Forward chain from the first cell: the whole first edit chain.
 	fwdRoot := ids[0]
-	fwdD := must1(idx.Forwardchain(fwdRoot, -1))
-	naiveFwd, idxFwd := minOfPair(
-		func() { must1(b.DB.Forwardchain(fwdRoot, -1)) },
-		func() { must1(idx.Forwardchain(fwdRoot, -1)) })
-	fwdSpeed := float64(naiveFwd) / float64(idxFwd)
-	fmt.Printf("forwardchain (%d nodes): naive %v, indexed %v — %.1fx\n",
-		len(fwdD.Nodes), naiveFwd.Round(time.Microsecond),
-		idxFwd.Round(time.Microsecond), fwdSpeed)
+	fwdD := must1(b.DB.Forwardchain(fwdRoot, -1))
+	fwd := minOf(func() { must1(b.DB.Forwardchain(fwdRoot, -1)) })
+	fmt.Printf("forwardchain (%d nodes): %v\n", len(fwdD.Nodes), fwd.Round(time.Microsecond))
 
 	// Hash chain: append (SHA-256 over the canonical record, linked to
 	// the previous digest) and full verification, over an in-memory log.
@@ -1400,24 +1371,19 @@ func provenanceSection() {
 			Instances     int     `json:"instances"`
 			Arcs          int     `json:"arcs"`
 			PopulateMS    float64 `json:"populate_ms"`
-			IndexBuildMS  float64 `json:"index_build_ms"`
 			BackNodes     int     `json:"backchain_nodes"`
 			BackArcs      int     `json:"backchain_arcs"`
-			BackNaiveMS   float64 `json:"backchain_naive_ms"`
-			BackIndexMS   float64 `json:"backchain_indexed_ms"`
-			BackSpeedup   float64 `json:"backchain_speedup"`
+			BackMS        float64 `json:"backchain_ms"`
 			FwdNodes      int     `json:"forwardchain_nodes"`
-			FwdNaiveMS    float64 `json:"forwardchain_naive_ms"`
-			FwdIndexMS    float64 `json:"forwardchain_indexed_ms"`
-			FwdSpeedup    float64 `json:"forwardchain_speedup"`
+			FwdMS         float64 `json:"forwardchain_ms"`
 			ChainRecords  int     `json:"chain_records"`
 			ChainAppendMS float64 `json:"chain_append_ms"`
 			ChainRecPerS  float64 `json:"chain_records_per_s"`
 			ChainVerifyMS float64 `json:"chain_verify_ms"`
 		}{"flowbench provenance", cells, string(spec.Shape), spec.Seed,
-			idx.Len(), idx.Edges(), ms(popTime), ms(idxTime),
-			len(idxD.Nodes), len(idxD.Edges), ms(naiveBack), ms(idxBack), backSpeed,
-			len(fwdD.Nodes), ms(naiveFwd), ms(idxFwd), fwdSpeed,
+			b.DB.Len(), arcs, ms(popTime),
+			len(backD.Nodes), len(backD.Edges), ms(back),
+			len(fwdD.Nodes), ms(fwd),
 			recs, ms(appendTime), float64(recs) / appendTime.Seconds(), ms(verifyTime)}
 		data := must1(json.MarshalIndent(out, "", "  "))
 		must(os.WriteFile(benchOut, append(data, '\n'), 0o644))

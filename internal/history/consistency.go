@@ -49,7 +49,7 @@ type Stale struct {
 func (db *DB) StaleInputs(id ID) ([]Stale, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	back, err := db.backchainLocked(id, -1)
+	back, err := db.g.chain(id, -1, false)
 	if err != nil {
 		return nil, err
 	}

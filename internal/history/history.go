@@ -126,14 +126,14 @@ type instShard struct {
 // DB is the design-history database. It is safe for concurrent use.
 //
 // Locking: db.mu guards the sequence counter, the derived indexes
-// (byType, usedBy, order) and the clock; the byID index is sharded with
-// per-shard locks (see instShard). Writers take db.mu exclusively and
-// then the shard lock of the instance they insert, so code holding
-// db.mu (either mode) may read shards freely; point readers (Get,
-// TypeOf, Has, ArtifactInfo) take only the shard lock. Stored
-// instances are immutable — Annotate replaces the stored copy rather
-// than mutating it — so a pointer read under the shard lock is safe to
-// dereference after the lock is released.
+// (byType and the derivation graph g) and the clock; the byID index is
+// sharded with per-shard locks (see instShard). Writers take db.mu
+// exclusively and then the shard lock of the instance they insert, so
+// code holding db.mu (either mode) may read shards freely; point
+// readers (Get, TypeOf, Has, ArtifactInfo) take only the shard lock.
+// Stored instances are immutable — Annotate replaces the stored copy
+// rather than mutating it — so a pointer read under the shard lock is
+// safe to dereference after the lock is released.
 type DB struct {
 	mu     sync.RWMutex
 	schema *schema.Schema
@@ -141,8 +141,7 @@ type DB struct {
 	seq    int
 	shards [instShards]instShard
 	byType map[string][]ID // concrete type -> IDs in creation order
-	usedBy map[ID][]ID     // forward index: instance -> direct dependents
-	order  []ID            // all IDs in creation order
+	g      graph           // derivation adjacency; g.ids is the creation order
 
 	// observers are notified of every commit, in commit order, under
 	// db.mu (see CommitObserver).
@@ -153,8 +152,8 @@ type DB struct {
 // OnCommit is invoked under the database's write lock with the stored
 // (immutable) instance, so implementations must be fast, must not
 // retain the Inputs slice for mutation, and must not call back into
-// the DB. The provenance index (internal/provenance) is the canonical
-// observer.
+// the DB. The provenance hash chain (internal/provenance) is the
+// canonical observer.
 type CommitObserver interface {
 	OnCommit(inst *Instance)
 }
@@ -166,7 +165,7 @@ type CommitObserver interface {
 func (db *DB) Observe(o CommitObserver) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, id := range db.order {
+	for _, id := range db.g.ids {
 		o.OnCommit(db.look(id))
 	}
 	db.observers = append(db.observers, o)
@@ -174,12 +173,9 @@ func (db *DB) Observe(o CommitObserver) {
 
 // NewDB creates an empty history database over the given schema.
 func NewDB(s *schema.Schema) *DB {
-	return &DB{
-		schema: s,
-		clock:  time.Now,
-		byType: make(map[string][]ID),
-		usedBy: make(map[ID][]ID),
-	}
+	db := &DB{schema: s, clock: time.Now, byType: make(map[string][]ID)}
+	db.g.reset()
+	return db
 }
 
 // shardOf maps an ID to its shard (FNV-1a over the ID bytes).
@@ -324,13 +320,7 @@ func (db *DB) recordLocked(rec Instance) (ID, error) {
 
 	db.insert(&inst)
 	db.byType[inst.Type] = append(db.byType[inst.Type], inst.ID)
-	db.order = append(db.order, inst.ID)
-	if inst.Tool != "" {
-		db.usedBy[inst.Tool] = append(db.usedBy[inst.Tool], inst.ID)
-	}
-	for _, in := range inst.Inputs {
-		db.usedBy[in.Inst] = append(db.usedBy[in.Inst], inst.ID)
-	}
+	db.g.link(db.g.node(inst.ID), &inst)
 	for _, o := range db.observers {
 		o.OnCommit(&inst)
 	}
@@ -424,7 +414,7 @@ func (db *DB) ReserveSeq(n int) {
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.order)
+	return len(db.g.ids)
 }
 
 // Annotate sets the user-visible name and comment of an instance (the
@@ -471,8 +461,8 @@ func (db *DB) InstancesOf(typeName string) []*Instance {
 func (db *DB) All() []*Instance {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]*Instance, 0, len(db.order))
-	for _, id := range db.order {
+	out := make([]*Instance, 0, len(db.g.ids))
+	for _, id := range db.g.ids {
 		out = append(out, db.get(id))
 	}
 	return out
@@ -489,11 +479,20 @@ func (db *DB) Newest(typeName string) *Instance {
 }
 
 // DirectDependents returns the instances that used id directly, as a tool
-// or as an input, in creation order.
+// or as an input, in creation order — once per arc, so a dependent that
+// used id under two dependencies is listed twice.
 func (db *DB) DirectDependents(id ID) []ID {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return append([]ID(nil), db.usedBy[id]...)
+	n, ok := db.g.num[id]
+	if !ok {
+		return nil
+	}
+	var out []ID
+	for i := db.g.fwd.head[n]; i >= 0; i = db.g.fwd.arcs[i].next {
+		out = append(out, db.g.ids[db.g.fwd.arcs[i].node])
+	}
+	return out
 }
 
 // Dump renders the database contents for debugging, one instance per

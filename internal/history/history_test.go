@@ -404,6 +404,10 @@ func TestConcurrentRecordAndQuery(t *testing.T) {
 					t.Errorf("Backchain: %v", err)
 					return
 				}
+				if _, err := db.Forwardchain(ids["n1"], -1); err != nil {
+					t.Errorf("Forwardchain: %v", err)
+					return
+				}
 			}
 		}()
 	}

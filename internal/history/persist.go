@@ -28,7 +28,7 @@ func (db *DB) DumpJSON(w io.Writer) error {
 func (db *DB) Restore(r io.Reader) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if len(db.order) != 0 {
+	if len(db.g.ids) != 0 {
 		return fmt.Errorf("history: Restore into non-empty database")
 	}
 	var insts []*Instance
@@ -52,7 +52,8 @@ func (db *DB) Restore(r io.Reader) error {
 		db.insert(&cp)
 	}
 	// Second pass: validate each record against the schema and rebuild
-	// the derived indexes in creation order.
+	// the derived indexes in creation order. Every instance is numbered
+	// before any arcs are linked, so forward references resolve here too.
 	ordered := append([]*Instance(nil), insts...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		if ordered[i].Created.Equal(ordered[j].Created) {
@@ -60,20 +61,17 @@ func (db *DB) Restore(r io.Reader) error {
 		}
 		return ordered[i].Created.Before(ordered[j].Created)
 	})
-	maxSeq := 0
 	for _, in := range ordered {
+		db.g.node(in.ID)
+	}
+	maxSeq := 0
+	for n, in := range ordered {
 		if err := db.validateRestored(in); err != nil {
 			db.wipeLocked()
 			return err
 		}
 		db.byType[in.Type] = append(db.byType[in.Type], in.ID)
-		db.order = append(db.order, in.ID)
-		if in.Tool != "" {
-			db.usedBy[in.Tool] = append(db.usedBy[in.Tool], in.ID)
-		}
-		for _, x := range in.Inputs {
-			db.usedBy[x.Inst] = append(db.usedBy[x.Inst], in.ID)
-		}
+		db.g.link(int32(n), in)
 		if s := seqOf(in.ID); s > maxSeq {
 			maxSeq = s
 		}
@@ -91,8 +89,7 @@ func (db *DB) wipeLocked() {
 		sh.mu.Unlock()
 	}
 	db.byType = make(map[string][]ID)
-	db.usedBy = make(map[ID][]ID)
-	db.order = nil
+	db.g.reset()
 	db.seq = 0
 }
 

@@ -34,7 +34,7 @@ func (db *DB) IsEditType(typeName string) bool {
 
 // versionChildren returns the direct version successors of id: dependents
 // whose type is an edit type over the same root and that consumed id on
-// the self-typed dependency.
+// the self-typed dependency. The caller holds db.mu.
 func (db *DB) versionChildren(id ID) []ID {
 	in := db.look(id)
 	if in == nil {
@@ -42,19 +42,19 @@ func (db *DB) versionChildren(id ID) []ID {
 	}
 	root := db.schema.Root(in.Type)
 	var out []ID
-	for _, user := range db.usedBy[id] {
+	for i := db.g.fwd.head[db.g.num[id]]; i >= 0; i = db.g.fwd.arcs[i].next {
+		a := db.g.fwd.arcs[i]
+		if a.key == keyTool {
+			continue
+		}
+		user := db.g.ids[a.node]
 		u := db.look(user)
 		if db.schema.Root(u.Type) != root {
 			continue
 		}
 		ut := db.schema.Type(u.Type)
-		for _, x := range u.Inputs {
-			if x.Inst != id {
-				continue
-			}
-			if d, ok := ut.DepByKey(x.Key); ok && db.schema.Root(d.Type) == root {
-				out = append(out, user)
-			}
+		if d, ok := ut.DepByKey(db.g.keys[a.key]); ok && db.schema.Root(d.Type) == root {
+			out = append(out, user)
 		}
 	}
 	return out

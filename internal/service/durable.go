@@ -89,14 +89,12 @@ func (s *Server) chainPath(id string) string {
 }
 
 // attachProvenance wires the run's provenance surface to its session
-// database: a fresh adjacency index plus a hash chain — file-backed in
-// durable mode, in-memory otherwise. Observe backfills both with every
-// record already committed (imports, bootstrap), then feeds them each
-// live commit in order.
+// database, which answers the chaining queries itself: a hash chain —
+// file-backed in durable mode, in-memory otherwise. Observe backfills
+// it with every record already committed (imports, bootstrap), then
+// feeds it each live commit in order.
 func (s *Server) attachProvenance(rec *runRecord, db *history.DB) error {
 	rec.db = db
-	rec.prov = provenance.NewIndex()
-	db.Observe(rec.prov)
 	var l storage.Log
 	if s.dataDir != "" {
 		fl, err := storage.OpenFile(s.chainPath(rec.id))
@@ -204,8 +202,9 @@ func (s *Server) recoverRunFile(path string) error {
 // registerFinished re-registers a completed run from its log: replay
 // its committed payloads into the datastore and the result cache, then
 // surface it with a closed, fully pre-seeded event stream. The terminal
-// state is derived from the RunFinished record (the original error text
-// is not persisted; a failed or aborted run recovers as "failed").
+// state and the task and cache-hit counts are derived from the recorded
+// events (the original error text and the elapsed time are not
+// persisted; a failed or aborted run recovers as "failed").
 func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Log) error {
 	if err := rc.Replay(s.store, s.cache); err != nil {
 		_ = l.Close()
@@ -219,14 +218,20 @@ func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Lo
 	if rc.Meta != nil {
 		rec.flowName, rec.user = rc.Meta.Flow, rc.Meta.User
 	}
+	hits := 0
 	for _, ev := range rc.Events {
 		rec.log.Emit(ev)
 		s.metrics.Emit(ev)
+		if ev.Kind == trace.KindUnitCacheHit {
+			hits++
+		}
 	}
 	fin := rc.Events[len(rc.Events)-1]
 	if fin.Failed > 0 || fin.Skipped > 0 || fin.Committed < fin.Units {
 		rec.state = stateFailed
 	}
+	// RunFinished.Committed is the run's Result.TasksRun.
+	rec.res = &exec.Result{TasksRun: fin.Committed, Stats: &exec.Stats{CacheHits: hits}}
 	rec.log.close()
 	close(rec.done)
 	s.mu.Lock()
@@ -272,12 +277,10 @@ func (s *Server) resumeRun(id string, rc *storage.Recovered, l storage.Log) erro
 	rec.walLog = l
 	rec.wal = storage.NewRunWAL(l)
 	// Provenance: the resumed run re-records its whole history through
-	// the fresh session database, so the index attaches empty and the
-	// chain is rebuilt (after verifying the pre-crash one) — both then
-	// observe the replayed units and the fresh suffix as one stream.
+	// the fresh session database, so the chain is rebuilt (after
+	// verifying the pre-crash one) and then observes the replayed units
+	// and the fresh suffix as one stream.
 	rec.db = sess.DB
-	rec.prov = provenance.NewIndex()
-	sess.DB.Observe(rec.prov)
 	if err := s.resetRunChain(rec); err != nil {
 		_ = l.Close()
 		return fmt.Errorf("provenance: %w", err)

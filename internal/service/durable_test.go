@@ -45,9 +45,10 @@ func sameTrace(t *testing.T, got, want []string) {
 	}
 }
 
-// TestDurableFinishedRunSurvivesRestart: a run completed and drained
-// cleanly must come back on the next boot — terminal state, full trace,
-// and a result cache warm enough that a resubmission never touches the
+// TestDurableFinishedRunSurvivesRestart: runs completed and drained
+// cleanly must come back on the next boot — the same status view
+// (counts included; the elapsed time is not persisted), full trace, and
+// a result cache warm enough that a resubmission never touches the
 // worker pool.
 func TestDurableFinishedRunSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -58,6 +59,19 @@ func TestDurableFinishedRunSurvivesRestart(t *testing.T) {
 		t.Fatalf("run ended %q (error %q), want succeeded", got.State, got.Error)
 	}
 	golden := fetchTrace(t, ts1.URL, v.ID)
+	// A warm rerun before the restart, so the views carry cache hits.
+	hot := submit(t, ts1.URL, "perf", "alice")
+	waitTerminal(t, ts1.URL, hot.ID)
+	var before []runView
+	for _, id := range []string{v.ID, hot.ID} {
+		var rv runView
+		getJSON(t, ts1.URL+"/v1/runs/"+id, &rv)
+		rv.ElapsedMS = 0
+		before = append(before, rv)
+	}
+	if before[0].TasksRun == 0 || before[1].CacheHits == 0 {
+		t.Fatalf("pre-restart views %+v: want tasks on the cold run and hits on the warm one", before)
+	}
 
 	forced, err := s1.Shutdown(5 * time.Second)
 	if err != nil || forced {
@@ -68,10 +82,12 @@ func TestDurableFinishedRunSurvivesRestart(t *testing.T) {
 	}
 
 	_, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
-	var back runView
-	getJSON(t, ts2.URL+"/v1/runs/"+v.ID, &back)
-	if back.State != string(stateSucceeded) || back.Flow != "perf" || back.User != "alice" {
-		t.Fatalf("recovered run = %+v, want succeeded perf/alice", back)
+	for _, want := range before {
+		var back runView
+		getJSON(t, ts2.URL+"/v1/runs/"+want.ID, &back)
+		if back != want {
+			t.Fatalf("recovered run = %+v, want the pre-restart view %+v", back, want)
+		}
 	}
 	sameTrace(t, fetchTrace(t, ts2.URL, v.ID), golden)
 

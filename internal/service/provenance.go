@@ -7,15 +7,14 @@ import (
 	"repro/internal/history"
 )
 
-// This file is the HTTP face of the provenance layer (internal/
-// provenance): every run carries a commit-time adjacency index over its
-// session's derivation records, and
+// This file is the HTTP face of the provenance layer: every run carries
+// its session's history database, and
 //
 //	GET /v1/runs/{id}/provenance?inst=ID&dir=back|fwd&depth=N
 //
 // answers the paper's design-history query — backward chaining ("what
 // was this made from") and forward chaining ("what was made from this")
-// — as an index walk, without touching the history database's lock.
+// — as a walk over the database's derivation graph.
 // depth bounds the chaining levels (absent or negative = unbounded).
 // Adding verify=1 also checks the run's hash chain end to end and
 // reports the verdict inline.
@@ -54,9 +53,9 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no run %q", r.PathValue("id"))
 		return
 	}
-	if rec.prov == nil {
+	if rec.db == nil {
 		writeErr(w, http.StatusConflict,
-			"run %q was recovered from a finished log and has no live provenance index; use flowd -verify-provenance for its chain", rec.id)
+			"run %q was recovered from a finished log and has no live history database; use flowd -verify-provenance for its chain", rec.id)
 		return
 	}
 	q := r.URL.Query()
@@ -82,9 +81,9 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch dir {
 	case "back":
-		der, err = rec.prov.Backchain(history.ID(inst), depth)
+		der, err = rec.db.Backchain(history.ID(inst), depth)
 	case "fwd":
-		der, err = rec.prov.Forwardchain(history.ID(inst), depth)
+		der, err = rec.db.Forwardchain(history.ID(inst), depth)
 	default:
 		writeErr(w, http.StatusBadRequest, "dir must be back or fwd, not %q", dir)
 		return

@@ -18,7 +18,7 @@
 //	                           the run finishes)
 //	GET  /v1/runs/{id}/provenance?inst=ID&dir=back|fwd&depth=N
 //	                           derivation/use-dependency chaining over the
-//	                           run's provenance index (provenance.go)
+//	                           run's history database (provenance.go)
 //	POST /v1/runs/{id}/cancel  cancel (DELETE /v1/runs/{id} also works)
 //	GET  /metrics              plain-text exposition of the shared fold
 package service
@@ -90,15 +90,14 @@ type runRecord struct {
 	// the file beneath it, both closed by the run goroutine at the end.
 	wal    *storage.RunWAL
 	walLog storage.Log
-	// db/prov/chain are the run's provenance surface: the session's
-	// history database, the commit-time adjacency index the provenance
-	// endpoint queries, and the hash chain of committed derivation
-	// records (runs/<id>.chain in durable mode, an in-memory log
-	// otherwise). All nil on runs recovered from a finished log, which
-	// have no live session. The chain stays open past the run's end so
+	// db/chain are the run's provenance surface: the session's history
+	// database, whose chaining queries the provenance endpoint answers,
+	// and the hash chain of committed derivation records
+	// (runs/<id>.chain in durable mode, an in-memory log otherwise).
+	// Both nil on runs recovered from a finished log, which have no live
+	// session. The chain stays open past the run's end so
 	// /provenance?verify=1 works; Shutdown closes it.
 	db    *history.DB
-	prov  *provenance.Index
 	chain *provenance.Chain
 	// world is the materialized scenario of a scenario submission,
 	// closed by the run goroutine at the end. Nil for menu flows.
