@@ -69,15 +69,17 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 5s ./internal/datastore/
 	$(GO) test -run '^$$' -fuzz '^FuzzArchiveDeltaReconstruction$$' -fuzztime 5s ./internal/datastore/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDecode$$' -fuzztime 5s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverRun$$' -fuzztime 5s ./internal/storage/
 
 # cover enforces the same ratchet as the CI trace job: the traced
 # execution paths (internal/exec + internal/trace), the result cache
 # (internal/memo), the conformance layer (internal/scenario +
-# internal/harness), the hash chain (internal/provenance) and the
-# history database with its derivation graph (internal/history) stay
-# above 90%.
+# internal/harness), the provenance index and chain
+# (internal/provenance), the history database with its derivation graph
+# (internal/history) and the hash-linked run log (internal/storage)
+# stay above 90% combined.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/exec/ ./internal/trace/ ./internal/memo/ ./internal/scenario/ ./internal/harness/ ./internal/provenance/ ./internal/history/
+	$(GO) test -coverprofile=cover.out ./internal/exec/ ./internal/trace/ ./internal/memo/ ./internal/scenario/ ./internal/harness/ ./internal/provenance/ ./internal/history/ ./internal/storage/
 	$(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$3); print "combined coverage: " $$3 "%"; exit ($$3 >= 90.0) ? 0 : 1}'
 
 # e2ebench vets and self-tests the end-to-end benchmark, a separate
@@ -105,16 +107,16 @@ scale:
 	$(GO) test -run xxx -bench 'Scale|Chaining10k' -benchtime 1x ./internal/flowgen/ ./internal/history/
 	$(GO) run ./cmd/flowbench -out BENCH_scale_report.json scale
 
-# provenance runs the provenance gate: the chaining and hash-chain
+# provenance runs the provenance gate: the chaining and hash-link
 # suites under the race detector (the database's chaining differential
-# against the naive reference walkers over 20+ seeds, tamper detection
-# naming the first bad record), the service's provenance endpoint
-# tests, the chaining benchmarks (database vs naive reference), then
-# the flowbench provenance section — chaining and the hash chain over a
-# 1.2M-instance history — writing its report next to the committed
-# record (BENCH_provenance.json).
+# against the naive reference walkers over 20+ seeds, WAL tamper
+# detection naming the first bad record), the service's provenance
+# endpoint and WAL-verification tests, the chaining benchmarks
+# (database vs naive reference), then the flowbench provenance section
+# — chaining over a 1.2M-instance history — writing its report next to
+# the committed record (BENCH_provenance.json).
 provenance:
-	$(GO) test -race ./internal/history/ ./internal/provenance/
-	$(GO) test -race -run 'Provenance|Scenario|DurableChain|DurableResume' ./internal/service/
+	$(GO) test -race ./internal/history/ ./internal/provenance/ ./internal/storage/
+	$(GO) test -race -run 'Provenance|Scenario|DurableWAL|DurableResume' ./internal/service/
 	$(GO) test -run xxx -bench 'Backchain|Forwardchain' -benchtime 0.5s ./internal/history/
 	$(GO) run ./cmd/flowbench -out BENCH_provenance_report.json provenance

@@ -12,7 +12,7 @@
 //	flowbench fig6 fig11 # selected figures
 //	flowbench -quick     # smoke subset (CI): fig1 fig6 sched chaos
 //	flowbench -out BENCH_provenance.json provenance
-//	                     # chaining + hash chain at scale, JSON measurements
+//	                     # chaining at scale, JSON measurements
 package main
 
 import (
@@ -50,7 +50,6 @@ import (
 	"repro/internal/hercules"
 	"repro/internal/history"
 	"repro/internal/memo"
-	"repro/internal/provenance"
 	"repro/internal/scenario"
 	"repro/internal/schema"
 	"repro/internal/service"
@@ -86,7 +85,7 @@ var sections = []struct {
 	{"approaches", "the four design approaches", false, approachesSection},
 	{"baselines", "dynamic flows vs static flows vs traces", false, baselinesSection},
 	{"corpus", "the scenario corpus submitted to a live service over HTTP", false, corpusSection},
-	{"provenance", "chaining + hash chain over a million-instance history", false, provenanceSection},
+	{"provenance", "chaining over a million-instance history", false, provenanceSection},
 	{"scale", "synthetic 10k–100k-node flows: plan and dispatch throughput", false, scaleSection},
 	{"durable", "WAL-backed runs: write-ahead overhead and crash recovery", false, durableSection},
 }
@@ -1156,12 +1155,16 @@ const tinyScenario = `{
 // POST /v1/runs and polled to a terminal state — first serially, then
 // all at once against the shared engine — and each outcome is checked
 // against the scenario's own expectation (success, or failure naming
-// the expected error). One run's chaining is then queried back through
-// GET /v1/runs/{id}/provenance as an end-to-end check of the
-// provenance endpoint. Scenarios driven by harness-side hooks the HTTP
-// API does not expose (cancel-mid-run) are skipped.
+// the expected error). The service is durable (a scratch data dir), so
+// every run writes its WAL. One run's chaining is then queried back
+// through GET /v1/runs/{id}/provenance?verify=1 as an end-to-end check
+// of the provenance endpoint and of that run's WAL links. Scenarios
+// driven by harness-side hooks the HTTP API does not expose
+// (cancel-mid-run) are skipped.
 func corpusSection() {
-	srv := must1(service.New(service.Config{Workers: 4}))
+	dir := must1(os.MkdirTemp("", "flowbench-corpus"))
+	defer os.RemoveAll(dir)
+	srv := must1(service.New(service.Config{Workers: 4, DataDir: dir}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -1270,7 +1273,7 @@ func corpusSection() {
 		float64(serial)/float64(conc), 2*len(corpus)-bad, 2*len(corpus))
 
 	// End-to-end chaining over HTTP: a run with known instance IDs,
-	// queried back with an inline hash-chain verification.
+	// queried back with an inline check of its WAL's hash links.
 	tv := wait(post(entry{name: "bench-tiny", raw: []byte(tinyScenario)}).ID)
 	var pv struct {
 		Nodes []string `json:"nodes"`
@@ -1282,8 +1285,11 @@ func corpusSection() {
 	resp := must1(http.Get(ts.URL + "/v1/runs/" + tv.ID + "/provenance?inst=Out:4&verify=1"))
 	must(json.NewDecoder(resp.Body).Decode(&pv))
 	must(resp.Body.Close())
-	fmt.Printf("provenance over HTTP: backchain %v, chain verified=%v (%d records)\n",
-		pv.Nodes, pv.Chain != nil && pv.Chain.Verified, pv.Chain.Records)
+	if pv.Chain == nil || !pv.Chain.Verified {
+		panic(fmt.Sprintf("provenance over HTTP: WAL verdict %+v", pv.Chain))
+	}
+	fmt.Printf("provenance over HTTP: backchain %v, WAL links verified (%d records)\n",
+		pv.Nodes, pv.Chain.Records)
 
 	if forced, err := srv.Shutdown(10 * time.Second); err != nil || forced {
 		panic(fmt.Sprintf("Shutdown = (forced %v, err %v)", forced, err))
@@ -1298,9 +1304,9 @@ func corpusSection() {
 // provenanceSection measures the provenance layer at scale: a
 // chain-shaped flowgen world of 600k cells — 1.2M committed instances,
 // with the database's derivation graph kept current per commit — then
-// the paper's chaining queries answered by the database, and the
-// tamper-evident hash chain's append and verify throughput. The
-// naive-walker comparison lives with the reference walkers:
+// the paper's chaining queries answered by the database. (The run WAL's
+// hash links are timed by the durable section.) The naive-walker
+// comparison lives with the reference walkers:
 // go test -bench 'Backchain|Forwardchain' ./internal/history/. With -out
 // the measurements are written as JSON (BENCH_provenance.json).
 func provenanceSection() {
@@ -1344,47 +1350,25 @@ func provenanceSection() {
 	fwd := minOf(func() { must1(b.DB.Forwardchain(fwdRoot, -1)) })
 	fmt.Printf("forwardchain (%d nodes): %v\n", len(fwdD.Nodes), fwd.Round(time.Microsecond))
 
-	// Hash chain: append (SHA-256 over the canonical record, linked to
-	// the previous digest) and full verification, over an in-memory log.
-	log := storage.NewMemLog()
-	ch := provenance.NewChain(log)
-	t0 = time.Now()
-	b.DB.Observe(ch)
-	must(ch.Sync())
-	appendTime := time.Since(t0)
-	t0 = time.Now()
-	must(ch.Verify())
-	verifyTime := time.Since(t0)
-	recs := ch.Len()
-	fmt.Printf("chain: %d records hashed+appended in %v (%.0f rec/s), verified in %v\n",
-		recs, appendTime.Round(time.Millisecond),
-		float64(recs)/appendTime.Seconds(), verifyTime.Round(time.Millisecond))
-	must(ch.Close())
-
 	if benchOut != "" {
 		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 		out := struct {
-			Bench         string  `json:"bench"`
-			Cells         int     `json:"cells"`
-			Shape         string  `json:"shape"`
-			Seed          int64   `json:"seed"`
-			Instances     int     `json:"instances"`
-			Arcs          int     `json:"arcs"`
-			PopulateMS    float64 `json:"populate_ms"`
-			BackNodes     int     `json:"backchain_nodes"`
-			BackArcs      int     `json:"backchain_arcs"`
-			BackMS        float64 `json:"backchain_ms"`
-			FwdNodes      int     `json:"forwardchain_nodes"`
-			FwdMS         float64 `json:"forwardchain_ms"`
-			ChainRecords  int     `json:"chain_records"`
-			ChainAppendMS float64 `json:"chain_append_ms"`
-			ChainRecPerS  float64 `json:"chain_records_per_s"`
-			ChainVerifyMS float64 `json:"chain_verify_ms"`
+			Bench      string  `json:"bench"`
+			Cells      int     `json:"cells"`
+			Shape      string  `json:"shape"`
+			Seed       int64   `json:"seed"`
+			Instances  int     `json:"instances"`
+			Arcs       int     `json:"arcs"`
+			PopulateMS float64 `json:"populate_ms"`
+			BackNodes  int     `json:"backchain_nodes"`
+			BackArcs   int     `json:"backchain_arcs"`
+			BackMS     float64 `json:"backchain_ms"`
+			FwdNodes   int     `json:"forwardchain_nodes"`
+			FwdMS      float64 `json:"forwardchain_ms"`
 		}{"flowbench provenance", cells, string(spec.Shape), spec.Seed,
 			b.DB.Len(), arcs, ms(popTime),
 			len(backD.Nodes), len(backD.Edges), ms(back),
-			len(fwdD.Nodes), ms(fwd),
-			recs, ms(appendTime), float64(recs) / appendTime.Seconds(), ms(verifyTime)}
+			len(fwdD.Nodes), ms(fwd)}
 		data := must1(json.MarshalIndent(out, "", "  "))
 		must(os.WriteFile(benchOut, append(data, '\n'), 0o644))
 		fmt.Printf("wrote %s\n", benchOut)
@@ -1591,7 +1575,7 @@ func durableSection() {
 	for _, w := range []int{1, 4, 16} {
 		// Reps interleave base and WAL runs so each pair sees the same
 		// machine conditions; min-of-reps on each side filters the rest
-		// of the noise (the box is single-core and shared).
+		// of the noise (the box is shared).
 		var base, res *exec.Result
 		for r := 0; r < reps; r++ {
 			bb := must1(flowgen.Build(spec))
@@ -1640,18 +1624,29 @@ func durableSection() {
 		fmt.Println(line)
 	}
 
-	// The boot path: recover the finished workers=16 log and replay its
-	// committed payloads into a fresh datastore and result cache.
+	// The boot path: recover the finished workers=16 log (RecoverRun
+	// verifies every hash link) and replay its committed payloads into a
+	// fresh datastore and result cache.
 	t0 := time.Now()
 	l := must1(storage.OpenFile(lastWAL))
 	rec := must1(storage.RecoverRun(l))
 	st := datastore.NewStore()
 	must(rec.Replay(st, memo.New(0)))
-	must(l.Close())
 	recTime := time.Since(t0)
-	fmt.Printf("recover: %.1f MB log, %d events, %d committed units replayed in %v (%.0f units/s)\n",
-		float64(walBytes)/(1<<20), len(rec.Events), len(rec.Commits),
-		recTime.Round(time.Millisecond), float64(len(rec.Commits))/recTime.Seconds())
+	units := len(rec.Commits)
+	fmt.Printf("recover: %.1f MB log (%.0f B/unit), %d events, %d committed units replayed in %v (%.0f units/s)\n",
+		float64(walBytes)/(1<<20), float64(walBytes)/float64(units), len(rec.Events), units,
+		recTime.Round(time.Millisecond), float64(units)/recTime.Seconds())
+
+	// The link check alone, the share of recovery that makes the log
+	// tamper-evident: SHA-256 over every record, compared with its
+	// successor's link.
+	recs := must1(l.Committed())
+	must(l.Close())
+	t0 = time.Now()
+	must1(storage.VerifyLinks(recs))
+	linkTime := time.Since(t0)
+	fmt.Printf("verify links: %d records in %v\n", len(recs), linkTime.Round(time.Microsecond))
 
 	if benchOut != "" {
 		out := struct {
@@ -1663,14 +1658,20 @@ func durableSection() {
 			FlowNodes  int              `json:"flow_nodes"`
 			Dispatch   []dispatchResult `json:"dispatch"`
 			WALBytes   int64            `json:"wal_bytes_workers16"`
+			WALPerUnit float64          `json:"wal_bytes_per_unit"`
+			WALRecords int              `json:"wal_records"`
 			RecEvents  int              `json:"recover_events"`
 			RecCommits int              `json:"recover_commits"`
 			RecoverMS  float64          `json:"recover_ms"`
+			VerifyMS   float64          `json:"verify_links_ms"`
 		}{"flowbench durable", "base and wal are min-of-3 interleaved runs in one process; " +
-			"the box is a single shared core, so the paired base_ms is the fair reference and " +
-			"vs_scale_pct carries cross-session machine drift on top of the WAL tax",
+			"machine speed drifts between sessions, so the paired base_ms is the fair reference and " +
+			"vs_scale_pct carries that drift on top of the WAL tax. Every WAL record opens with its " +
+			"74-byte hash link to the previous record; recover_ms includes the link check that " +
+			"verify_links_ms times alone",
 			cells, string(spec.Shape), spec.Seed, b.Flow.Len(),
-			dispatches, walBytes, len(rec.Events), len(rec.Commits), ms(recTime)}
+			dispatches, walBytes, float64(walBytes) / float64(units), len(recs),
+			len(rec.Events), units, ms(recTime), ms(linkTime)}
 		data := must1(json.MarshalIndent(out, "", "  "))
 		must(os.WriteFile(benchOut, append(data, '\n'), 0o644))
 		fmt.Printf("wrote %s\n", benchOut)

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
@@ -11,14 +13,17 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/storage"
 )
 
 // TestCrashRecoveryE2E is the whole-process durability gate (CI crash
 // job, `make crash`): build the real flowd binary, kill -9 it in the
 // middle of a run, restart it over the same data directory and require
 // the resumed run's final masked trace to be byte-identical to the
-// trace of an uninterrupted golden instance. Gated behind CRASH_E2E=1
-// so plain `go test ./...` stays fast.
+// trace of an uninterrupted golden instance, and its WAL to pass
+// -verify-provenance (and a tampered copy to fail it). Gated behind
+// CRASH_E2E=1 so plain `go test ./...` stays fast.
 func TestCrashRecoveryE2E(t *testing.T) {
 	if os.Getenv("CRASH_E2E") == "" {
 		t.Skip("set CRASH_E2E=1 to run the kill -9 crash/recovery round trip")
@@ -74,6 +79,79 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			t.Fatalf("resumed trace diverges at event %d:\nresumed: %s\ngolden:  %s",
 				i, resumed[i], golden[i])
 		}
+	}
+
+	// The resumed WAL is one hash chain: -verify-provenance accepts the
+	// drained data dir...
+	if err := r.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.cmd.Wait(); err != nil {
+		t.Fatalf("graceful shutdown after resume exited nonzero: %v", err)
+	}
+	if out, err := exec.Command(bin, "-data-dir", crashDir, "-verify-provenance").CombinedOutput(); err != nil {
+		t.Fatalf("-verify-provenance on the resumed data dir: %v\n%s", err, out)
+	}
+
+	// ...and refuses a copy with one record rewritten (and re-framed, so
+	// only the links can tell), naming the first record whose link fails.
+	tamperDir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(tamperDir, "runs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src, err := storage.OpenFile(filepath.Join(crashDir, "runs", id+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := src.Committed()
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := len(recs) / 2
+	recs[bad] = append(recs[bad][:len(recs[bad])-1], `,"tampered":true}`...)
+	dst, err := storage.OpenFile(filepath.Join(tamperDir, "runs", id+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := dst.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-data-dir", tamperDir, "-verify-provenance").CombinedOutput()
+	if want := fmt.Sprintf("record %d:", bad+1); err == nil || !strings.Contains(string(out), want) {
+		t.Fatalf("-verify-provenance on a tampered WAL: err %v, want non-zero naming %s\n%s", err, want, out)
+	}
+
+	// A raw byte flip inside that record, not re-framed, fails its
+	// frame CRC with intact frames after it — damage, not a crash tail.
+	// -verify-provenance and boot both refuse it, naming the record.
+	data, err := os.ReadFile(filepath.Join(crashDir, "runs", id+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	for _, rec := range recs[:bad] {
+		off += 8 + len(rec) // frame header + payload
+	}
+	data[off+8+10] ^= 0x20
+	if err := os.WriteFile(filepath.Join(tamperDir, "runs", id+".wal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("record %d:", bad)
+	out, err = exec.Command(bin, "-data-dir", tamperDir, "-verify-provenance").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), want) {
+		t.Fatalf("-verify-provenance on a WAL with a flipped byte: err %v, want non-zero naming %s\n%s", err, want, out)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel() // a boot that accepts the log serves until killed
+	out, err = exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-data-dir", tamperDir).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), want) {
+		t.Fatalf("flowd boot over a WAL with a flipped byte: err %v, want non-zero naming %s\n%s", err, want, out)
 	}
 }
 

@@ -15,9 +15,9 @@
 //	                           # (internal/scenario) against its golden
 //	                           # trace and exit; -update re-blesses it
 //	flowd -data-dir ./flowd -verify-provenance
-//	                           # verify every run's provenance hash chain
-//	                           # under <data-dir>/runs and exit (non-zero
-//	                           # if any chain fails verification)
+//	                           # verify the hash links of every run's WAL
+//	                           # under <data-dir>/runs and exit (non-zero,
+//	                           # naming the record, if any log fails)
 //
 // Flags:
 //
@@ -63,7 +63,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/provenance"
 	"repro/internal/service"
 	"repro/internal/storage"
 )
@@ -80,7 +79,7 @@ func main() {
 	scenarioPath := flag.String("scenario", "", "run the conformance check on one scenario file and exit")
 	goldenDir := flag.String("golden-dir", "", "with -scenario: golden trace directory (default <scenario dir>/golden)")
 	updateGolden := flag.Bool("update", false, "with -scenario: write the golden trace instead of comparing")
-	verifyProv := flag.Bool("verify-provenance", false, "verify every run's provenance chain under -data-dir and exit")
+	verifyProv := flag.Bool("verify-provenance", false, "verify every run's WAL hash links under -data-dir and exit")
 	flag.Parse()
 
 	if *scenarioPath != "" {
@@ -268,74 +267,58 @@ func runSmoke(srv *service.Server) error {
 	return ln.Close()
 }
 
-// runVerifyProvenance is the cold-boot tamper check: open every
-// provenance chain under <data-dir>/runs, verify each end to end
-// (decodability, canonical bytes, digests, sequence numbers,
-// predecessor links) and report per chain. Any failure names the first
-// bad record and makes the command exit non-zero.
+// runVerifyProvenance is the cold-boot tamper check: every run's WAL
+// under <data-dir>/runs is opened and read through storage.RecoverRun —
+// the checks boot recovery runs: frames (a damaged one with intact ones
+// after it), hash links, decodable records, log format, nothing past
+// RunFinished — and is reported per file. A failure names the file and the first bad
+// record and makes the command exit non-zero. It only reads: a torn
+// tail is reported, never cut.
 func runVerifyProvenance(dataDir string) error {
 	if dataDir == "" {
 		return fmt.Errorf("-verify-provenance needs -data-dir")
 	}
-	paths, err := filepath.Glob(filepath.Join(dataDir, "runs", "*.chain"))
+	paths, err := filepath.Glob(filepath.Join(dataDir, "runs", "*.wal"))
 	if err != nil {
 		return err
 	}
 	sort.Strings(paths)
-	bad := 0
-	total := 0
+	bad, total := 0, 0
 	for _, p := range paths {
-		l, err := storage.OpenFile(p)
+		n, state, err := verifyWAL(p)
 		if err != nil {
-			return err
-		}
-		n, verr := provenance.VerifyLog(l)
-		torn := l.Torn()
-		_ = l.Close()
-		if verr == nil && torn {
-			// The chain ends in bytes that do not frame as a record. A
-			// cleanly finished run syncs its chain before closing, so a
-			// torn tail there is damage (a byte flip mid-file makes every
-			// later frame unreadable); on an interrupted run it is the
-			// crash itself, and resume rebuilds the chain from scratch.
-			if runFinished(strings.TrimSuffix(p, ".chain") + ".wal") {
-				verr = fmt.Errorf("provenance: torn tail after record %d — chain damaged or truncated mid-record", n)
-			} else {
-				fmt.Printf("%s: ok (%d records; torn tail from an interrupted run, rebuilt on resume)\n",
-					filepath.Base(p), n)
-				total += n
-				continue
-			}
-		}
-		if verr != nil {
-			fmt.Printf("%s: CORRUPT: %v\n", filepath.Base(p), verr)
+			fmt.Printf("%s: CORRUPT: %v\n", filepath.Base(p), err)
 			bad++
 			continue
 		}
-		fmt.Printf("%s: ok (%d records)\n", filepath.Base(p), n)
+		fmt.Printf("%s: ok (%d records, %s)\n", filepath.Base(p), n, state)
 		total += n
 	}
 	if bad > 0 {
-		return fmt.Errorf("%d of %d chains failed verification", bad, len(paths))
+		return fmt.Errorf("%d of %d run logs failed verification", bad, len(paths))
 	}
-	fmt.Printf("%d chains ok (%d records)\n", len(paths), total)
+	fmt.Printf("%d run logs ok (%d records)\n", len(paths), total)
 	return nil
 }
 
-// runFinished reports whether the chain's companion WAL records a
-// completed run. An unreadable or absent WAL cannot attest anything, so
-// it counts as finished — the suspect chain gets flagged.
-func runFinished(walPath string) bool {
-	l, err := storage.OpenFile(walPath)
+// verifyWAL checks one run log and says whether the run finished.
+func verifyWAL(path string) (records int, state string, err error) {
+	l, err := storage.OpenReadOnly(path)
 	if err != nil {
-		return true
+		return 0, "", err
 	}
+	defer l.Close()
 	rc, err := storage.RecoverRun(l)
-	_ = l.Close()
-	if err != nil {
-		return true
+	records = l.Records()
+	switch {
+	case err != nil:
+		return records, "", err
+	case rc.Finished:
+		return records, "finished", nil
+	case l.Torn():
+		return records, "interrupted; its torn tail is cut when boot resumes it", nil
 	}
-	return rc.Finished
+	return records, "interrupted; boot resumes it", nil
 }
 
 // runScenario runs the conformance harness on one scenario file — the

@@ -506,8 +506,8 @@ func (l *killableLog) Sync() error {
 
 // checkKillResume runs the scenario durably and sweeps kill-and-resume
 // over every WAL record boundary: each resumed run must complete with
-// the full golden stream in its WAL and a history byte-identical to an
-// uninterrupted run's.
+// the full golden stream in a WAL whose links verify end to end and a
+// history byte-identical to an uninterrupted run's.
 func checkKillResume(sc *scenario.Scenario, base *runOut, opts Options, rep *Report) error {
 	// Golden: one uninterrupted durable run.
 	goldLog := storage.NewMemLog()
@@ -567,6 +567,12 @@ func checkKillResume(sc *scenario.Scenario, base *runOut, opts Options, rep *Rep
 		if err := checkRunError(sc, resumed.cfg, resumed.err); err != nil {
 			resumed.close()
 			return fmt.Errorf("kill-resume killAt=%d: %w", killAt, err)
+		}
+		// The resumed log must be one hash chain: the fresh suffix links
+		// to the rewound prefix.
+		if _, err := storage.RecoverRun(kl.MemLog); err != nil {
+			resumed.close()
+			return fmt.Errorf("scenario %s: killAt=%d: resumed WAL does not verify: %w", sc.Name, killAt, err)
 		}
 		final, err := walEventList(kl.MemLog)
 		if err != nil {

@@ -152,8 +152,8 @@ type DB struct {
 // OnCommit is invoked under the database's write lock with the stored
 // (immutable) instance, so implementations must be fast, must not
 // retain the Inputs slice for mutation, and must not call back into
-// the DB. The provenance hash chain (internal/provenance) is the
-// canonical observer.
+// the DB. The provenance index and chain (internal/provenance) are
+// observers.
 type CommitObserver interface {
 	OnCommit(inst *Instance)
 }

@@ -1,9 +1,6 @@
 package provenance
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -14,25 +11,12 @@ import (
 	"repro/internal/storage"
 )
 
-// This file makes the derivation record itself trustworthy: every
-// committed instance is appended to a hash chain persisted through a
-// storage.Log (the same framed-file machinery as the run WAL). Each
-// chain record's digest is SHA-256 over its canonical payload, and the
-// payload embeds the predecessor's digest — so mutating, dropping,
-// inserting or reordering any record breaks the chain at (or right
-// after) the damage, and Verify names the first record that fails.
-//
-// Record encoding is canonical: a hand-rolled, deterministic JSON form
-// with every field always present and keys in a fixed order (the same
-// reflection-free idiom as internal/storage's WAL encoder). Canonical
-// bytes are what the digest covers and what Verify re-derives, so any
-// re-encoding ambiguity is off the table: a persisted record is valid
-// iff it is byte-identical to the canonical encoding of its decoded
-// fields and its digest and predecessor link check out.
-
-// GenesisDigest is the "previous digest" of the first chain record:
-// 32 zero bytes, hex-encoded.
-var GenesisDigest = hex.EncodeToString(make([]byte, sha256.Size))
+// This file keeps a standalone derivation-record hash chain: one record
+// per committed instance, appended to its own storage.Log and linked by
+// the run WAL's link code (storage.AppendLink / storage.VerifyLinks),
+// so there is one hash-chain verifier in the repository. flowd does not
+// use it — a durable run's linked WAL is its provenance record — but the
+// end-to-end benchmark's traced run composes a Chain beside the WAL.
 
 // RecordInput is one input arc of a chain record.
 type RecordInput struct {
@@ -40,9 +24,9 @@ type RecordInput struct {
 	Inst string `json:"inst"`
 }
 
-// Record is one link of the provenance hash chain: the derivation-
-// relevant fields of a committed instance, its position (Seq, 0-based
-// in chain order), the predecessor digest and its own digest.
+// Record is one link of the chain: the derivation-relevant fields of a
+// committed instance and its position (Seq, 0-based in chain order).
+// Its encoding opens with the storage link to the previous record.
 type Record struct {
 	Seq     int           `json:"seq"`
 	ID      string        `json:"id"`
@@ -52,15 +36,14 @@ type Record struct {
 	Data    string        `json:"data"`
 	User    string        `json:"user"`
 	Created int64         `json:"created"` // unix nanoseconds of the commit timestamp
-	Prev    string        `json:"prev"`    // hex SHA-256 of the previous record's payload
-	Digest  string        `json:"digest"`  // hex SHA-256 of this record's payload
 }
 
-// appendPayload appends the canonical payload encoding of r — the full
-// record minus the digest field. The digest is SHA-256 over exactly
-// these bytes; Prev is part of them, which is what chains the records.
-func appendPayload(b []byte, r *Record) []byte {
-	b = append(b, `{"seq":`...)
+// appendRecord appends r's encoding, linked to prev: a hand-rolled,
+// deterministic JSON form (the reflection-free idiom of the WAL
+// encoder), since OnCommit runs under the history write lock.
+func appendRecord(b []byte, prev storage.Digest, r *Record) []byte {
+	b = storage.AppendLink(b, prev)
+	b = append(b, `,"seq":`...)
 	b = strconv.AppendInt(b, int64(r.Seq), 10)
 	b = append(b, `,"id":`...)
 	b = appendString(b, r.ID)
@@ -85,16 +68,6 @@ func appendPayload(b []byte, r *Record) []byte {
 	b = appendString(b, r.User)
 	b = append(b, `,"created":`...)
 	b = strconv.AppendInt(b, r.Created, 10)
-	b = append(b, `,"prev":`...)
-	b = appendString(b, r.Prev)
-	return b
-}
-
-// appendRecord appends the full canonical encoding: payload + digest.
-func appendRecord(b []byte, r *Record) []byte {
-	b = appendPayload(b, r)
-	b = append(b, `,"digest":`...)
-	b = appendString(b, r.Digest)
 	return append(b, '}')
 }
 
@@ -114,8 +87,8 @@ func appendString(b []byte, s string) []byte {
 }
 
 // recordOf builds the chain record for a committed instance at chain
-// position seq with the given predecessor digest, computing its digest.
-func recordOf(inst *history.Instance, seq int, prev string) (*Record, []byte) {
+// position seq.
+func recordOf(inst *history.Instance, seq int) *Record {
 	r := &Record{
 		Seq:     seq,
 		ID:      string(inst.ID),
@@ -124,7 +97,6 @@ func recordOf(inst *history.Instance, seq int, prev string) (*Record, []byte) {
 		Data:    string(inst.Data),
 		User:    inst.User,
 		Created: inst.Created.UnixNano(),
-		Prev:    prev,
 	}
 	if len(inst.Inputs) > 0 {
 		r.Inputs = make([]RecordInput, len(inst.Inputs))
@@ -132,23 +104,14 @@ func recordOf(inst *history.Instance, seq int, prev string) (*Record, []byte) {
 			r.Inputs[i] = RecordInput{Key: in.Key, Inst: string(in.Inst)}
 		}
 	}
-	payload := appendPayload(nil, r)
-	r.Digest = digestHex(payload)
-	return r, appendRecord(payload[:0], r)
+	return r
 }
 
-// digestHex returns the hex SHA-256 of b.
-func digestHex(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// Chain appends hash-chained derivation records to a storage.Log. It
+// Chain appends linked derivation records to a storage.Log. It
 // implements history.CommitObserver: attach it with db.Observe(c) and
 // every commit (existing records first, then live ones, in commit
 // order) becomes one chain record. Appends are buffered by the log;
-// call Sync (or Close) to force the durability barrier — the same
-// group-commit discipline as the run WAL.
+// call Sync (or Close) to force the durability barrier.
 //
 // OnCommit cannot return an error (the observer interface is fire-and-
 // forget under the DB's commit lock), so the first append failure is
@@ -156,30 +119,15 @@ func digestHex(b []byte) string {
 type Chain struct {
 	mu   sync.Mutex
 	log  storage.Log
-	n    int    // records appended so far
-	last string // digest of the newest record (GenesisDigest when empty)
-	err  error  // first append failure, latched
-	buf  []byte // encode buffer, reused across appends
+	n    int            // records appended so far
+	head storage.Digest // digest of the newest record (storage.Genesis when empty)
+	err  error          // first append failure, latched
+	buf  []byte         // encode buffer, reused across appends
 }
 
 // NewChain starts an empty chain on an empty log.
 func NewChain(log storage.Log) *Chain {
-	return &Chain{log: log, last: GenesisDigest}
-}
-
-// OpenChain resumes a chain from a log's committed records: it verifies
-// them (VerifyLog) and positions the chain to append after the last
-// one. A fresh (empty) log yields an empty chain.
-func OpenChain(log storage.Log) (*Chain, error) {
-	recs, err := log.Committed()
-	if err != nil {
-		return nil, fmt.Errorf("provenance: reading chain log: %w", err)
-	}
-	last, err := verifyRecords(recs)
-	if err != nil {
-		return nil, err
-	}
-	return &Chain{log: log, n: len(recs), last: last}, nil
+	return &Chain{log: log}
 }
 
 // Len returns the number of records appended to the chain.
@@ -196,14 +144,13 @@ func (c *Chain) OnCommit(inst *history.Instance) {
 	if c.err != nil {
 		return
 	}
-	rec, raw := recordOf(inst, c.n, c.last)
-	c.buf = append(c.buf[:0], raw...)
+	c.buf = appendRecord(c.buf[:0], c.head, recordOf(inst, c.n))
 	if err := c.log.Append(c.buf); err != nil {
 		c.err = fmt.Errorf("provenance: appending chain record %d (%s): %w", c.n, inst.ID, err)
 		return
 	}
 	c.n++
-	c.last = rec.Digest
+	c.head = storage.DigestOf(c.buf)
 }
 
 // Sync forces the chain's records onto stable storage and returns any
@@ -233,9 +180,10 @@ func (c *Chain) Close() error {
 }
 
 // Verify syncs the log, re-reads every committed record and checks the
-// whole chain, including that no tail records are missing (the chain
-// knows how many it appended, which a cold reader cannot). It returns
-// nil iff the persisted chain is exactly what was appended.
+// links, then what only the live chain knows: how many records it
+// appended and the digest of the newest one. It returns nil iff the
+// persisted chain is exactly what was appended; the error names the
+// first bad record.
 func (c *Chain) Verify() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,78 +197,35 @@ func (c *Chain) Verify() error {
 	if err != nil {
 		return fmt.Errorf("provenance: reading chain log: %w", err)
 	}
-	// Internal consistency first: interior damage names the earlier
-	// record; only an internally consistent chain of the wrong length is
-	// a pure truncation/extension.
-	if _, err := verifyRecords(recs); err != nil {
-		return err
-	}
-	if len(recs) > c.n {
+	// Interior damage first; only an intact chain of the wrong length is
+	// a pure truncation or extension.
+	head, err := storage.VerifyLinks(recs)
+	switch {
+	case err != nil:
+		return fmt.Errorf("provenance: %w", err)
+	case len(recs) > c.n:
 		return fmt.Errorf("provenance: chain has %d records, expected %d (record %d not appended by this chain)",
 			len(recs), c.n, c.n)
-	}
-	if len(recs) < c.n {
+	case len(recs) < c.n:
 		return fmt.Errorf("provenance: chain truncated: %d records on storage, expected %d (record %d missing)",
 			len(recs), c.n, len(recs))
+	case head != c.head:
+		return fmt.Errorf("provenance: record %d: digest differs from the chain head — record altered", c.n-1)
 	}
 	return nil
 }
 
-// VerifyLog checks the internal consistency of a persisted chain —
-// decodability, canonical encoding, digests, sequence numbers and
-// predecessor links — and returns the number of valid records. It is
-// the cold-boot check (flowd -verify-provenance): it detects any
-// mutation, any interior drop or insertion, and any reorder, naming
-// the first bad record. What a cold reader cannot detect is removal of
-// records from the tail — that needs the expected count, which a live
-// Chain has (Verify) and a boot check cross-references against the
-// run's WAL.
+// VerifyLog checks the links of a persisted chain and returns the
+// number of records. A cold reader cannot vouch for the newest record
+// (no later link covers it; on a FileLog its frame CRC does) nor see
+// records removed from the tail — a live Chain's Verify can.
 func VerifyLog(log storage.Log) (int, error) {
 	recs, err := log.Committed()
 	if err != nil {
 		return 0, fmt.Errorf("provenance: reading chain log: %w", err)
 	}
-	if _, err := verifyRecords(recs); err != nil {
-		return 0, err
+	if _, err := storage.VerifyLinks(recs); err != nil {
+		return 0, fmt.Errorf("provenance: %w", err)
 	}
 	return len(recs), nil
-}
-
-// verifyRecords checks a sequence of raw chain records and returns the
-// digest of the last one (GenesisDigest for an empty chain). Checks per
-// record, in order of precedence: decodable; sequence number matches
-// its position (catches drops, insertions and reorders); digest matches
-// SHA-256 of the canonical payload (catches any semantic mutation,
-// prev included); predecessor link matches the previous record's
-// digest (catches self-consistent rewrites — flagged at the first
-// record whose link no longer holds); raw bytes match the canonical
-// re-encoding (catches non-semantic byte tampering that decoding
-// normalises away). The returned error names the first failing record.
-func verifyRecords(recs [][]byte) (string, error) {
-	prev := GenesisDigest
-	var buf []byte
-	for i, raw := range recs {
-		var r Record
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return "", fmt.Errorf("provenance: record %d undecodable: %v", i, err)
-		}
-		if r.Seq != i {
-			return "", fmt.Errorf("provenance: record %d (%s): sequence %d out of order (want %d) — record dropped, inserted or reordered",
-				i, r.ID, r.Seq, i)
-		}
-		buf = appendPayload(buf[:0], &r)
-		if got := digestHex(buf); got != r.Digest {
-			return "", fmt.Errorf("provenance: record %d (%s): digest mismatch — payload mutated", i, r.ID)
-		}
-		if r.Prev != prev {
-			return "", fmt.Errorf("provenance: record %d (%s): predecessor link broken — an earlier record was rewritten or the chain was reordered",
-				i, r.ID)
-		}
-		buf = appendRecord(buf[:0], &r)
-		if !bytes.Equal(buf, raw) {
-			return "", fmt.Errorf("provenance: record %d (%s): non-canonical bytes — record tampered without changing its decoded form", i, r.ID)
-		}
-		prev = r.Digest
-	}
-	return prev, nil
 }

@@ -11,9 +11,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/hercules"
-	"repro/internal/history"
-	"repro/internal/provenance"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -21,14 +18,20 @@ import (
 // This file is the service half of the durability layer (Config.
 // DataDir). Layout under the data directory:
 //
-//	runs/<id>.wal   one write-ahead log per submission (the run's
-//	                trace plus each committed unit's artifacts)
-//	runs/<id>.chain hash-chained derivation records of the run's
-//	                session database (provenance.Chain; verified by
-//	                flowd -verify-provenance)
+//	runs/<id>.wal   one write-ahead log per submission: its identity
+//	                record (RunMeta, which with replanning determines
+//	                every derivation the run commits), the run's trace
+//	                and each committed unit's artifacts, every record
+//	                hash-linked to its predecessor — the run's one
+//	                provenance record (verified by boot recovery,
+//	                GET …/provenance?verify=1 and flowd
+//	                -verify-provenance)
 //	store.json      datastore checkpoint, written by Shutdown
 //
-// Boot recovery (initDurable, from New) reads every WAL back:
+// Boot recovery (initDurable, from New) reads every WAL back through
+// storage.RecoverRun, which refuses a log with a broken link, an
+// undecodable record or an older format — and with it the boot, naming
+// the file and the record:
 //
 //   - A log containing RunFinished is a completed run — possibly a
 //     failed or cancelled one. Its committed artifacts and derivation
@@ -38,28 +41,34 @@ import (
 //     warm resubmission after a clean reboot hits on every unit.
 //
 //   - A log without RunFinished is an interrupted run (crash, kill -9).
-//     The service rebuilds the submission's session and flow from the
-//     identity record, rewinds the log to its resumable prefix and
-//     relaunches the run with exec.RunOptions.Resume: the executor
-//     restores every fully-committed unit from the log (re-recording
-//     history and re-feeding datastore and memo through its normal
-//     committer) and re-executes only the rest, appending to the same
-//     WAL with continuous event sequence numbers. Nothing is replayed
+//     The service rebuilds the submission's flow from the identity
+//     record (build — a menu flow or a scenario alike), rewinds the log
+//     to its resumable prefix and relaunches the run with
+//     exec.RunOptions.Resume: the executor restores every
+//     fully-committed unit from the log (re-recording history and
+//     re-feeding datastore and memo through its normal committer) and
+//     re-executes only the rest, appending to the same WAL with
+//     continuous event sequence numbers and links. Nothing is replayed
 //     here out-of-band — the resumed run is the single commit path.
 //
 // Shutdown is the graceful half: stop admitting, drain active runs
 // (their own goroutines flush and close each WAL), abort stragglers at
 // the deadline, checkpoint the datastore.
 
-// openRunWAL creates a fresh submission's log under <dataDir>/runs and
-// makes the identity record durable.
-func (s *Server) openRunWAL(rec *runRecord) error {
-	l, err := storage.OpenFile(filepath.Join(s.dataDir, "runs", rec.id+".wal"))
+// walPath is a run's write-ahead log under the data dir.
+func (s *Server) walPath(id string) string {
+	return filepath.Join(s.dataDir, "runs", id+".wal")
+}
+
+// openRunWAL creates a fresh submission's log and makes the identity
+// record durable.
+func (s *Server) openRunWAL(rec *runRecord, meta storage.RunMeta) error {
+	l, err := storage.OpenFile(s.walPath(rec.id))
 	if err != nil {
 		return err
 	}
 	w := storage.NewRunWAL(l)
-	if err := w.AppendMeta(storage.RunMeta{ID: rec.id, Flow: rec.flowName, User: rec.user}); err != nil {
+	if err := w.AppendMeta(meta); err != nil {
 		_ = w.Close()
 		_ = l.Close()
 		return err
@@ -68,14 +77,9 @@ func (s *Server) openRunWAL(rec *runRecord) error {
 	return nil
 }
 
-// discardRunWAL abandons a WAL (and provenance chain, if one was
-// attached) opened for a run that was never launched (admission lost a
-// race with Shutdown).
+// discardRunWAL abandons a WAL opened for a run that was never launched
+// (admission lost a race with Shutdown).
 func (s *Server) discardRunWAL(rec *runRecord) {
-	if rec.chain != nil {
-		_ = rec.chain.Close()
-		rec.chain = nil
-	}
 	if rec.wal == nil {
 		return
 	}
@@ -83,62 +87,34 @@ func (s *Server) discardRunWAL(rec *runRecord) {
 	_ = rec.walLog.Close()
 }
 
-// chainPath is the run's provenance-chain log under the data dir.
-func (s *Server) chainPath(id string) string {
-	return filepath.Join(s.dataDir, "runs", id+".chain")
-}
-
-// attachProvenance wires the run's provenance surface to its session
-// database, which answers the chaining queries itself: a hash chain —
-// file-backed in durable mode, in-memory otherwise. Observe backfills
-// it with every record already committed (imports, bootstrap), then
-// feeds it each live commit in order.
-func (s *Server) attachProvenance(rec *runRecord, db *history.DB) error {
-	rec.db = db
-	var l storage.Log
-	if s.dataDir != "" {
-		fl, err := storage.OpenFile(s.chainPath(rec.id))
-		if err != nil {
-			return err
+// verifyRunWAL runs the one provenance check, storage.RecoverRun, over
+// a run's log and returns how many records it holds. The log is opened
+// read-only and afresh (a live run's writer keeps appending to its own
+// handle; a torn final frame is simply not read): a missing file fails,
+// and so does a log without its identity record. Once the run's writer
+// has closed, the log must also end in the record it wrote last — the
+// links cannot show a dropped tail, since no record vouches for its
+// successors.
+func (s *Server) verifyRunWAL(rec *runRecord) (int, error) {
+	l, err := storage.OpenReadOnly(s.walPath(rec.id))
+	if err != nil {
+		return 0, err
+	}
+	defer l.Close()
+	rc, err := storage.RecoverRun(l)
+	if err == nil && rc.Meta == nil {
+		err = errors.New("the log holds no identity record")
+	}
+	rec.mu.Lock()
+	head := rec.walHead
+	rec.mu.Unlock()
+	if err == nil && head != storage.Genesis {
+		recs, rerr := l.Committed()
+		if err = rerr; err == nil && storage.DigestOf(recs[len(recs)-1]) != head {
+			err = fmt.Errorf("record %d is not the last record the run's writer wrote: the log lost its tail", len(recs)-1)
 		}
-		l = fl
-	} else {
-		l = storage.NewMemLog()
 	}
-	rec.chain = provenance.NewChain(l)
-	db.Observe(rec.chain)
-	return nil
-}
-
-// resetRunChain prepares an interrupted run's chain for resume. The
-// resumed run is the single commit path — the executor re-records every
-// restored unit through the session database — so the chain is rebuilt
-// alongside it rather than appended to (appending would duplicate every
-// re-committed record). The pre-crash chain is verified first: resuming
-// on top of tampered provenance is refused at boot.
-func (s *Server) resetRunChain(rec *runRecord) error {
-	path := s.chainPath(rec.id)
-	l, err := storage.OpenFile(path)
-	if err != nil {
-		return err
-	}
-	_, verr := provenance.VerifyLog(l)
-	cerr := l.Close()
-	if verr != nil {
-		return fmt.Errorf("pre-crash chain %s: %w", filepath.Base(path), verr)
-	}
-	if cerr != nil {
-		return cerr
-	}
-	if err := os.Remove(path); err != nil {
-		return err
-	}
-	fl, err := storage.OpenFile(path)
-	if err != nil {
-		return err
-	}
-	rec.chain = provenance.NewChain(fl)
-	return nil
+	return l.Records(), err
 }
 
 // initDurable restores the server's durable state: the datastore
@@ -241,51 +217,35 @@ func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Lo
 }
 
 // resumeRun relaunches an interrupted run from its recovered prefix.
-// The session is rebuilt exactly as handleSubmit built it, so the
-// deterministic replan pre-assigns the instance IDs the log recorded —
-// the executor verifies every one before committing. The event stream
-// is pre-seeded with the prefix and the fresh suffix continues its
-// sequence numbers, so a trace reader sees one gapless run.
+// The run is rebuilt from its identity record exactly as handleSubmit
+// built it, so the deterministic replan pre-assigns the instance IDs
+// the log recorded — the executor verifies every one before
+// committing. The event stream is pre-seeded with the prefix and the
+// fresh suffix continues its sequence numbers, so a trace reader sees
+// one gapless run.
 func (s *Server) resumeRun(id string, rc *storage.Recovered, l storage.Log) error {
-	spec := s.spec(rc.Meta.Flow)
-	if spec == nil {
-		// Nothing to rebuild the run from: scenario submissions and flows
-		// from an older menu exist only in the identity record. Don't fail
-		// the whole boot — replay what was committed and surface the run
-		// as failed, trace intact, so the operator can see it and resubmit.
-		return s.registerUnresumable(id, rc, l)
+	b, err := s.build(*rc.Meta)
+	if err != nil {
+		// Nothing to rebuild the run from (a flow gone from the menu, a
+		// scenario this build cannot materialize). Don't fail the whole
+		// boot — replay what was committed and surface the run as
+		// failed, trace intact, so the operator can see it and resubmit.
+		return s.registerUnresumable(id, rc, l, err)
 	}
 	if err := rc.Rewind(l); err != nil {
 		_ = l.Close()
-		return err
-	}
-	sess := hercules.NewSessionStore(rc.Meta.User, s.store)
-	if err := sess.Bootstrap(); err != nil {
-		_ = l.Close()
-		return err
-	}
-	f, err := buildFlow(spec, sess)
-	if err != nil {
-		_ = l.Close()
+		if b.world != nil {
+			b.world.Close()
+		}
 		return err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := &runRecord{id: id, flowName: rc.Meta.Flow, user: rc.Meta.User,
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
-		state: stateRunning}
+		state: stateRunning, world: b.world, db: b.opts.DB}
 	rec.started = time.Now()
 	rec.walLog = l
 	rec.wal = storage.NewRunWAL(l)
-	// Provenance: the resumed run re-records its whole history through
-	// the fresh session database, so the chain is rebuilt (after
-	// verifying the pre-crash one) and then observes the replayed units
-	// and the fresh suffix as one stream.
-	rec.db = sess.DB
-	if err := s.resetRunChain(rec); err != nil {
-		_ = l.Close()
-		return fmt.Errorf("provenance: %w", err)
-	}
-	sess.DB.Observe(rec.chain)
 	for _, ev := range rc.Events {
 		rec.log.Emit(ev)
 		s.metrics.Emit(ev)
@@ -293,28 +253,19 @@ func (s *Server) resumeRun(id string, rc *storage.Recovered, l storage.Log) erro
 	s.mu.Lock()
 	s.runs[id] = rec
 	s.mu.Unlock()
-	opts := &exec.RunOptions{
-		DB:     sess.DB,
-		User:   rc.Meta.User,
-		Label:  id,
-		Tracer: trace.Multi(rec.log, s.metrics),
-		WAL:    rec.wal,
-		Resume: rc,
-	}
-	if spec.Delay > 0 {
-		d := spec.Delay
-		opts.TaskDelay = &d
-	}
-	s.launch(ctx, rec, f, 0, opts)
+	b.opts.Label = id
+	b.opts.Tracer = trace.Multi(rec.log, s.metrics)
+	b.opts.WAL = rec.wal
+	b.opts.Resume = rc
+	s.launch(ctx, rec, b.f, b.target, b.opts)
 	return nil
 }
 
 // registerUnresumable surfaces an interrupted run whose flow cannot be
-// rebuilt from its identity record (a scenario submission, or a flow
-// gone from the menu): committed payloads are still replayed into the
-// datastore and result cache, and the run reappears terminal-failed
-// with its recovered trace prefix.
-func (s *Server) registerUnresumable(id string, rc *storage.Recovered, l storage.Log) error {
+// rebuilt from its identity record: committed payloads are still
+// replayed into the datastore and result cache, and the run reappears
+// terminal-failed with its recovered trace prefix and the cause.
+func (s *Server) registerUnresumable(id string, rc *storage.Recovered, l storage.Log, cause error) error {
 	if err := rc.Replay(s.store, s.cache); err != nil {
 		_ = l.Close()
 		return err
@@ -324,8 +275,7 @@ func (s *Server) registerUnresumable(id string, rc *storage.Recovered, l storage
 	}
 	rec := &runRecord{id: id, flowName: rc.Meta.Flow, user: rc.Meta.User,
 		cancel: func() {}, done: make(chan struct{}), log: newEventLog(),
-		state: stateFailed,
-		err:   fmt.Errorf("cannot resume: log names unknown flow %q", rc.Meta.Flow)}
+		state: stateFailed, err: fmt.Errorf("cannot resume: %w", cause)}
 	for _, ev := range rc.Events {
 		rec.log.Emit(ev)
 		s.metrics.Emit(ev)
@@ -384,21 +334,8 @@ func (s *Server) Shutdown(timeout time.Duration) (forced bool, err error) {
 		}
 		<-idle // cancelled runs exit promptly
 	}
-	// All runs are settled: close the provenance chains their goroutines
-	// left open for post-run verification.
-	var chainErr error
-	for _, rec := range recs {
-		if rec.chain != nil {
-			if cerr := rec.chain.Close(); cerr != nil && chainErr == nil {
-				chainErr = cerr
-			}
-		}
-	}
 	if s.dataDir != "" {
 		err = s.checkpoint()
-	}
-	if err == nil {
-		err = chainErr
 	}
 	return forced, err
 }

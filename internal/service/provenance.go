@@ -16,8 +16,10 @@ import (
 // was this made from") and forward chaining ("what was made from this")
 // — as a walk over the database's derivation graph.
 // depth bounds the chaining levels (absent or negative = unbounded).
-// Adding verify=1 also checks the run's hash chain end to end and
-// reports the verdict inline.
+// Adding verify=1 also checks the hash links of the run's WAL end to
+// end (storage.RecoverRun, the same check boot recovery and flowd
+// -verify-provenance run) and reports the verdict inline; a run without
+// a WAL (no DataDir) answers 409.
 
 // provenanceEdge is one derivation arc in the response: Parent was
 // created using Child. Kind is the paper's arc label — "fd" for the
@@ -29,7 +31,8 @@ type provenanceEdge struct {
 	Key    string `json:"key,omitempty"`
 }
 
-// chainVerdict is the inline hash-chain check (verify=1).
+// chainVerdict is the inline check of the run WAL's hash links
+// (verify=1): how many records it holds and whether they verify.
 type chainVerdict struct {
 	Records  int    `json:"records"`
 	Verified bool   `json:"verified"`
@@ -55,10 +58,16 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	}
 	if rec.db == nil {
 		writeErr(w, http.StatusConflict,
-			"run %q was recovered from a finished log and has no live history database; use flowd -verify-provenance for its chain", rec.id)
+			"run %q was recovered from a finished log and has no live history database; use flowd -verify-provenance to check its log", rec.id)
 		return
 	}
 	q := r.URL.Query()
+	verify := q.Get("verify") == "1"
+	if verify && s.dataDir == "" {
+		writeErr(w, http.StatusConflict,
+			"run %q has no write-ahead log to verify: the service keeps runs in memory only (start flowd with -data-dir)", rec.id)
+		return
+	}
 	inst := q.Get("inst")
 	if inst == "" {
 		writeErr(w, http.StatusBadRequest, "missing inst parameter (an instance ID, e.g. Netlist:3)")
@@ -106,9 +115,10 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 			Kind: e.Kind.String(), Key: e.Key,
 		}
 	}
-	if q.Get("verify") == "1" && rec.chain != nil {
-		v := &chainVerdict{Records: rec.chain.Len()}
-		if verr := rec.chain.Verify(); verr != nil {
+	if verify {
+		v := &chainVerdict{}
+		var verr error
+		if v.Records, verr = s.verifyRunWAL(rec); verr != nil {
 			v.Error = verr.Error()
 		} else {
 			v.Verified = true

@@ -16,9 +16,10 @@
 //	GET  /v1/runs/{id}         one run's status
 //	GET  /v1/runs/{id}/trace   masked JSONL event stream (follows until
 //	                           the run finishes)
-//	GET  /v1/runs/{id}/provenance?inst=ID&dir=back|fwd&depth=N
+//	GET  /v1/runs/{id}/provenance?inst=ID&dir=back|fwd&depth=N[&verify=1]
 //	                           derivation/use-dependency chaining over the
-//	                           run's history database (provenance.go)
+//	                           run's history database; verify=1 also
+//	                           checks its WAL's hash links (provenance.go)
 //	POST /v1/runs/{id}/cancel  cancel (DELETE /v1/runs/{id} also works)
 //	GET  /metrics              plain-text exposition of the shared fold
 package service
@@ -40,7 +41,6 @@ import (
 	"repro/internal/hercules"
 	"repro/internal/history"
 	"repro/internal/memo"
-	"repro/internal/provenance"
 	"repro/internal/scenario"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -90,15 +90,13 @@ type runRecord struct {
 	// the file beneath it, both closed by the run goroutine at the end.
 	wal    *storage.RunWAL
 	walLog storage.Log
-	// db/chain are the run's provenance surface: the session's history
-	// database, whose chaining queries the provenance endpoint answers,
-	// and the hash chain of committed derivation records
-	// (runs/<id>.chain in durable mode, an in-memory log otherwise).
-	// Both nil on runs recovered from a finished log, which have no live
-	// session. The chain stays open past the run's end so
-	// /provenance?verify=1 works; Shutdown closes it.
-	db    *history.DB
-	chain *provenance.Chain
+	// walHead is the WAL's last record digest when its writer closed
+	// (under mu; Genesis while it writes): what verify=1 expects.
+	walHead storage.Digest
+	// db is the session's history database, whose chaining queries the
+	// provenance endpoint answers. Nil on runs recovered from a finished
+	// log, which have no live session.
+	db *history.DB
 	// world is the materialized scenario of a scenario submission,
 	// closed by the run goroutine at the end. Nil for menu flows.
 	world *harness.World
@@ -277,66 +275,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var (
-		f        *flow.Flow
-		target   flow.NodeID
-		db       *history.DB
-		flowName string
-		world    *harness.World
-		opts     = &exec.RunOptions{}
-	)
-	if len(req.Scenario) > 0 {
-		// Scenario submission: materialize the declared world (schema,
-		// tools, imports, flow) against the shared datastore and run it on
-		// the shared engine through per-run overrides.
-		sc, err := scenario.Decode(req.Scenario)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "scenario: %v", err)
-			return
-		}
-		m, err := harness.Materialize(sc, s.store)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "scenario: %v", err)
-			return
-		}
-		world, f, target, db = m, m.Flow(), m.Target(), m.DB()
-		flowName = "scenario:" + sc.Name
-		opts.Schema, opts.Registry = m.Schema(), m.Registry()
-		applyRunSpec(sc, opts)
-		// The server's shared result cache is keyed by content-addressed
-		// derivation alone, which is sound only when every run shares one
-		// tool semantics (the menu's standard registry). A scenario brings
-		// its own: the same tool type and bytes may be declared failing or
-		// fault-instrumented here and clean elsewhere, so sharing would
-		// serve another world's result for a unit this world must run.
-		// Each scenario run gets a private cache instead.
-		opts.Memo = memo.New(0)
-	} else {
-		spec := s.spec(req.Flow)
-		if spec == nil {
-			writeErr(w, http.StatusNotFound, "no flow %q (see /v1/flows)", req.Flow)
-			return
-		}
-		// Each submission gets its own session: own history database (no
-		// commit-window contention), shared datastore and result cache.
-		sess := hercules.NewSessionStore(req.User, s.store)
-		if err := sess.Bootstrap(); err != nil {
-			writeErr(w, http.StatusInternalServerError, "bootstrap: %v", err)
-			return
-		}
-		var err error
-		f, err = buildFlow(spec, sess)
-		if err != nil {
+	meta := storage.RunMeta{Flow: req.Flow, User: req.User, Scenario: req.Scenario}
+	b, err := s.build(meta)
+	if err != nil {
+		switch {
+		case errors.Is(err, errUnknownFlow):
+			writeErr(w, http.StatusNotFound, "%v (see /v1/flows)", err)
+		case len(req.Scenario) > 0:
+			writeErr(w, http.StatusBadRequest, "%v", err)
+		default:
 			writeErr(w, http.StatusInternalServerError, "%v", err)
-			return
 		}
-		db = sess.DB
-		flowName = spec.Name
-		if spec.Delay > 0 {
-			d := spec.Delay
-			opts.TaskDelay = &d
-		}
+		return
 	}
+	meta.Flow = b.name
+	world := b.world
 
 	s.mu.Lock()
 	if s.draining {
@@ -352,15 +305,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	rec := &runRecord{id: id, flowName: flowName, user: req.User,
+	rec := &runRecord{id: id, flowName: b.name, user: req.User,
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
-		state: stateRunning, world: world}
+		state: stateRunning, world: world, db: b.opts.DB}
 	rec.started = time.Now()
 
 	// Durable mode: open the run's WAL and make the identity record
 	// stable before the submission is acknowledged.
 	if s.dataDir != "" {
-		if err := s.openRunWAL(rec); err != nil {
+		meta.ID = id
+		if err := s.openRunWAL(rec, meta); err != nil {
 			cancel()
 			if world != nil {
 				world.Close()
@@ -384,28 +338,79 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.runs[id] = rec
 	s.mu.Unlock()
 
-	// Attach the provenance surface: index and hash chain observe every
-	// commit of the run's session database (existing records — imports,
-	// bootstrap — are backfilled first, in commit order).
-	if err := s.attachProvenance(rec, db); err != nil {
-		cancel()
-		s.discardRunWAL(rec)
-		s.dropRun(id)
-		if world != nil {
-			world.Close()
-		}
-		writeErr(w, http.StatusInternalServerError, "provenance chain: %v", err)
-		return
-	}
-
-	opts.DB = db
-	opts.User = req.User
-	opts.Label = id
-	opts.Tracer = trace.Multi(rec.log, s.metrics)
-	opts.WAL = rec.wal
-	s.launch(ctx, rec, f, target, opts)
+	b.opts.Label = id
+	b.opts.Tracer = trace.Multi(rec.log, s.metrics)
+	b.opts.WAL = rec.wal
+	s.launch(ctx, rec, b.f, b.target, b.opts)
 
 	writeJSON(w, http.StatusCreated, rec.view())
+}
+
+// errUnknownFlow marks a menu flow name the service does not offer.
+var errUnknownFlow = errors.New("unknown flow")
+
+// built is a run ready to launch: its flow (or the sub-flow rooted at
+// target when non-zero), the options it runs with — opts.DB is the
+// run's own history database — and, for a scenario, the materialized
+// world the run goroutine closes.
+type built struct {
+	name   string
+	f      *flow.Flow
+	target flow.NodeID
+	world  *harness.World
+	opts   *exec.RunOptions
+}
+
+// build constructs a run from its identity record alone: a scenario
+// submission materializes its declared world (schema, tools, imports,
+// flow) against the shared datastore and runs on the shared engine
+// through per-run overrides; a menu flow is built in a fresh session of
+// the submitting user (own history database, shared datastore and
+// result cache). Submission and boot-time resume both call it, which is
+// what makes a run's WAL, through its RunMeta and replanning, determine
+// every derivation the run commits.
+func (s *Server) build(m storage.RunMeta) (*built, error) {
+	b := &built{opts: &exec.RunOptions{User: m.User}}
+	if len(m.Scenario) > 0 {
+		sc, err := scenario.Decode(m.Scenario)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		world, err := harness.Materialize(sc, s.store)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		b.name, b.world, b.f, b.target = "scenario:"+sc.Name, world, world.Flow(), world.Target()
+		b.opts.DB, b.opts.Schema, b.opts.Registry = world.DB(), world.Schema(), world.Registry()
+		applyRunSpec(sc, b.opts)
+		// The server's shared result cache is keyed by content-addressed
+		// derivation alone, which is sound only when every run shares one
+		// tool semantics (the menu's standard registry). A scenario brings
+		// its own: the same tool type and bytes may be declared failing or
+		// fault-instrumented here and clean elsewhere, so sharing would
+		// serve another world's result for a unit this world must run.
+		// Each scenario run gets a private cache instead.
+		b.opts.Memo = memo.New(0)
+		return b, nil
+	}
+	spec := s.spec(m.Flow)
+	if spec == nil {
+		return nil, fmt.Errorf("%w %q", errUnknownFlow, m.Flow)
+	}
+	sess := hercules.NewSessionStore(m.User, s.store)
+	if err := sess.Bootstrap(); err != nil {
+		return nil, fmt.Errorf("bootstrap: %w", err)
+	}
+	f, err := buildFlow(spec, sess)
+	if err != nil {
+		return nil, err
+	}
+	b.name, b.f, b.opts.DB = spec.Name, f, sess.DB
+	if spec.Delay > 0 {
+		d := spec.Delay
+		b.opts.TaskDelay = &d
+	}
+	return b, nil
 }
 
 // applyRunSpec carries a submitted scenario's run stanza — failure
@@ -432,18 +437,10 @@ func applyRunSpec(sc *scenario.Scenario, o *exec.RunOptions) {
 	}
 }
 
-// dropRun removes a registered run that failed before launch.
-func (s *Server) dropRun(id string) {
-	s.mu.Lock()
-	delete(s.runs, id)
-	s.mu.Unlock()
-}
-
 // launch starts the run goroutine: execute the flow (or the sub-flow
 // rooted at target when non-zero), settle the record's terminal state,
 // then release the event log, the WAL and the done channel — the same
-// exit path for fresh and resumed runs. The provenance chain is synced
-// (durability barrier) but stays open for post-run verification.
+// exit path for fresh and resumed runs.
 func (s *Server) launch(ctx context.Context, rec *runRecord, f *flow.Flow, target flow.NodeID, opts *exec.RunOptions) {
 	go func() {
 		var res *exec.Result
@@ -453,21 +450,19 @@ func (s *Server) launch(ctx context.Context, rec *runRecord, f *flow.Flow, targe
 		} else {
 			res, err = s.engine.RunFlowOptions(ctx, f, opts)
 		}
-		if rec.chain != nil {
-			if cerr := rec.chain.Sync(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
+		var walHead storage.Digest
 		if rec.wal != nil {
 			if werr := rec.wal.Close(); werr != nil && err == nil {
 				err = werr
 			}
 			_ = rec.walLog.Close()
+			walHead = rec.wal.Head()
 		}
 		if rec.world != nil {
 			rec.world.Close()
 		}
 		rec.mu.Lock()
+		rec.walHead = walHead
 		rec.res, rec.err = res, err
 		rec.elapsed = time.Since(rec.started)
 		switch {

@@ -20,25 +20,29 @@ import (
 // (struct order; sorted for the outputs map), so identical records
 // produce identical bytes.
 
-// appendWALRecord appends one record envelope as JSON. Exactly one of
-// meta / ev is set (ev counts as set when ev.Kind != ""); commit may
-// ride along with an event.
-func appendWALRecord(b []byte, meta *RunMeta, ev *trace.Event, commit *UnitCommit) []byte {
-	b = append(b, '{')
+// appendWALRecord appends one record envelope as JSON, opened by its
+// link to the previous record (link.go). Exactly one of meta / ev is
+// set (ev counts as set when ev.Kind != ""); commit may ride along with
+// an event.
+func appendWALRecord(b []byte, prev Digest, meta *RunMeta, ev *trace.Event, commit *UnitCommit) []byte {
+	b = AppendLink(b, prev)
 	if meta != nil {
-		b = append(b, `"meta":{"id":`...)
+		b = append(b, `,"meta":{"id":`...)
 		b = appendString(b, meta.ID)
 		b = append(b, `,"flow":`...)
 		b = appendString(b, meta.Flow)
 		b = append(b, `,"user":`...)
 		b = appendString(b, meta.User)
+		b = append(b, `,"version":`...)
+		b = strconv.AppendInt(b, int64(meta.Version), 10)
+		if len(meta.Scenario) > 0 {
+			b = append(b, `,"scenario":`...)
+			b = append(b, meta.Scenario...)
+		}
 		b = append(b, '}')
 	}
 	if ev != nil && ev.Kind != "" {
-		if meta != nil {
-			b = append(b, ',')
-		}
-		b = append(b, `"event":`...)
+		b = append(b, `,"event":`...)
 		b = appendEvent(b, ev)
 	}
 	if commit != nil {

@@ -19,8 +19,10 @@ import (
 // shorter than its length, or a checksum mismatch all mark the start of
 // a *torn tail* — bytes that were being written when the process died.
 // Everything before the torn tail is well-framed and treated as
-// committed; the tail itself is dropped by TruncateTorn (never
-// replayed, satisfying the no-partial-unit invariant).
+// committed; the tail itself is never read, and Rewind drops it (never
+// replayed, satisfying the no-partial-unit invariant). A crash only
+// cuts a log's end, so a damaged frame followed by an intact one is
+// damage, not a torn tail, and OpenFile refuses the log.
 //
 // Writes are buffered in memory and hit the file only on Sync (flush +
 // fsync), so the caller controls the group-commit cadence. MaxRecord
@@ -46,10 +48,21 @@ const frameHeader = 8 // length + CRC
 
 // OpenFile opens (creating if absent) a file-backed log and scans its
 // frames. A torn tail is detected and remembered — Append refuses to
-// work until TruncateTorn or Rewind removes it, so recovery gets to
-// look at the damage first.
+// work until Rewind removes it, so recovery gets to look at the damage
+// first. A damaged frame with an intact one after it fails the open,
+// naming the damaged record.
 func OpenFile(path string) (*FileLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	return openFile(path, os.O_RDWR|os.O_CREATE)
+}
+
+// OpenReadOnly opens an existing file-backed log for inspection: a
+// missing file is an error, not an empty log, and writes fail.
+func OpenReadOnly(path string) (*FileLog, error) {
+	return openFile(path, os.O_RDONLY)
+}
+
+func openFile(path string, flag int) (*FileLog, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +79,8 @@ func OpenFile(path string) (*FileLog, error) {
 }
 
 // scan walks the frames from the start, recording each record's offset
-// and where the well-framed prefix ends.
+// and where the well-framed prefix ends. Bytes past that prefix are a
+// torn tail unless an intact frame lies among them.
 func (l *FileLog) scan() error {
 	info, err := l.f.Stat()
 	if err != nil {
@@ -97,10 +111,37 @@ func (l *FileLog) scan() error {
 		l.offsets = append(l.offsets, off)
 		off += frameHeader + n
 	}
+	if off < fileLen {
+		rest := make([]byte, fileLen-off)
+		if _, err := l.f.ReadAt(rest, off); err != nil {
+			return err
+		}
+		if next := intactFrame(rest[1:]); next >= 0 {
+			return fmt.Errorf("storage: record %d: frame at offset %d is damaged, yet an intact frame follows at offset %d (a crash only cuts a log's end)",
+				len(l.offsets), off, off+1+int64(next))
+		}
+	}
 	l.size = off
 	l.flushed = off
 	l.torn = fileLen - off
 	return nil
+}
+
+// intactFrame returns the offset in b of the first complete frame with
+// a non-empty payload and a matching checksum, or -1. An empty frame is
+// not evidence: it is eight zero bytes, which is also what an unwritten
+// file block reads as.
+func intactFrame(b []byte) int {
+	for i := 0; i+frameHeader < len(b); i++ {
+		n := int(binary.LittleEndian.Uint32(b[i:]))
+		if n == 0 || n > MaxRecord || i+frameHeader+n > len(b) {
+			continue
+		}
+		if crc32.ChecksumIEEE(b[i+frameHeader:i+frameHeader+n]) == binary.LittleEndian.Uint32(b[i+4:]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Append frames one record into the write buffer.
@@ -189,23 +230,6 @@ func (l *FileLog) Committed() ([][]byte, error) {
 	return out, nil
 }
 
-// TruncateTorn cuts the file back to its well-framed prefix.
-func (l *FileLog) TruncateTorn() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return os.ErrClosed
-	}
-	if l.torn == 0 {
-		return nil
-	}
-	if err := l.truncateLocked(l.size); err != nil {
-		return err
-	}
-	l.torn = 0
-	return nil
-}
-
 // Rewind truncates to the first keep records (removing any torn tail
 // with the discarded suffix).
 func (l *FileLog) Rewind(keep int) error {
@@ -235,8 +259,7 @@ func (l *FileLog) Rewind(keep int) error {
 }
 
 // truncateLocked resizes the file and repositions the write cursor.
-// Requires an empty write buffer (callers flush first; TruncateTorn
-// can only run before any Append succeeded).
+// Requires an empty write buffer (callers flush first).
 func (l *FileLog) truncateLocked(n int64) error {
 	if err := l.f.Truncate(n); err != nil {
 		return err

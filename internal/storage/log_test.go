@@ -34,7 +34,8 @@ func TestMemLogSyncWatermark(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("committed %d records, want the 3 synced ones", len(recs))
 	}
-	if err := l.TruncateTorn(); err != nil {
+	// Rewinding to the committed prefix drops the unsynced record.
+	if err := l.Rewind(len(recs)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]byte{4}); err != nil {
@@ -114,9 +115,9 @@ func TestFileLogRoundTripAndReopen(t *testing.T) {
 // record is ever surfaced to recovery.
 func TestFileLogTornTail(t *testing.T) {
 	for _, cut := range []struct {
-		name  string
-		chop  int64 // bytes to remove from the end
-		flip  bool  // instead corrupt one payload byte of the last record
+		name string
+		chop int64 // bytes to remove from the end
+		flip bool  // instead corrupt one payload byte of the last record
 	}{
 		{name: "mid-payload", chop: 3},
 		{name: "mid-header", chop: 12}, // last record is 4+8 bytes: leaves 0 < rest < header
@@ -178,9 +179,10 @@ func TestFileLogTornTail(t *testing.T) {
 					t.Fatalf("record %d = %q, want %q", i, rec, want)
 				}
 			}
-			// TruncateTorn makes the log appendable again, and the new
-			// record lands where the torn one was.
-			if err := l2.TruncateTorn(); err != nil {
+			// Rewinding to the well-framed records makes the log
+			// appendable again, and the new record lands where the torn
+			// one was.
+			if err := l2.Rewind(l2.Records()); err != nil {
 				t.Fatal(err)
 			}
 			if err := l2.Append([]byte("resumed")); err != nil {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -50,17 +51,30 @@ type Recovered struct {
 	PrefixRecords int
 }
 
-// RecoverRun reads a log's committed records and computes the
-// resumable prefix. The log is left untouched; call Rewind to discard
-// the unresumable suffix before resuming the run. Records that fail to
-// decode end the readable stream at that point (everything before them
-// still recovers).
+// RecoverRun reads a log's committed records, verifies their hash
+// links and computes the resumable prefix. It is the one check of a
+// run's provenance: boot recovery, the service's verify=1 and flowd
+// -verify-provenance all call it. It refuses a log whose RunMeta lacks
+// FormatVersion, a broken link, a well-framed record that does not
+// decode and anything past a RunFinished record, well-framed or torn (a
+// crash produces none of these: a finished run appends nothing more),
+// each error naming the record. The log is left untouched — an
+// interrupted run's torn tail is simply not read; call Rewind to
+// discard the unresumable suffix before resuming the run.
 func RecoverRun(l Log) (*Recovered, error) {
-	if err := l.TruncateTorn(); err != nil {
-		return nil, err
-	}
 	recs, err := l.Committed()
 	if err != nil {
+		return nil, err
+	}
+	// A log from before the links existed fails the link check at
+	// record 0; say why instead.
+	if len(recs) > 0 && !bytes.HasPrefix(recs[0], []byte(linkPrefix)) {
+		var rec Record
+		if json.Unmarshal(recs[0], &rec) == nil && rec.Meta != nil {
+			return nil, versionError(0, rec.Meta)
+		}
+	}
+	if _, err := VerifyLinks(recs); err != nil {
 		return nil, err
 	}
 	r := &Recovered{Commits: make(map[int]*UnitCommit)}
@@ -73,10 +87,13 @@ func RecoverRun(l Log) (*Recovered, error) {
 	for i, raw := range recs {
 		var rec Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			break // undecodable record: treat like a torn tail from here
+			return nil, fmt.Errorf("storage: record %d undecodable: %v", i, err)
 		}
 		switch {
 		case rec.Meta != nil:
+			if rec.Meta.Version != FormatVersion {
+				return nil, versionError(i, rec.Meta)
+			}
 			if r.Meta == nil {
 				r.Meta = rec.Meta
 				r.PrefixRecords = i + 1
@@ -91,6 +108,10 @@ func RecoverRun(l Log) (*Recovered, error) {
 	// recovery only replays the committed payloads into store and memo.
 	for i, er := range events {
 		if er.ev.Kind == trace.KindRunFinished {
+			torn, ok := l.(interface{ Torn() bool }) // FileLog
+			if next := er.recIdx + 1; next < len(recs) || ok && torn.Torn() {
+				return nil, fmt.Errorf("storage: record %d: the log continues past the run's RunFinished (record %d), which a finished run never writes", next, er.recIdx)
+			}
 			r.Finished = true
 			r.PrefixRecords = er.recIdx + 1
 			r.Events = make([]trace.Event, i+1)
@@ -168,6 +189,11 @@ func RecoverRun(l Log) (*Recovered, error) {
 		r.NextSeq = r.Events[prefixEvents-1].Seq + 1
 	}
 	return r, nil
+}
+
+func versionError(i int, m *RunMeta) error {
+	return fmt.Errorf("storage: record %d: run log format version %d, this build reads version %d (logs written before records were hash-linked are not migrated)",
+		i, m.Version, FormatVersion)
 }
 
 // Rewind truncates the log to the resumable prefix, so the resumed

@@ -21,7 +21,7 @@ func evt(seq int, kind trace.Kind, job, unit int) trace.Event {
 
 // writeStream appends a meta record plus events through a RunWAL and
 // barriers. commits maps unit index -> payload for UnitCommitted events.
-func writeStream(t *testing.T, l Log, events []trace.Event, commits map[int]*UnitCommit) {
+func writeStream(t testing.TB, l Log, events []trace.Event, commits map[int]*UnitCommit) {
 	t.Helper()
 	w := NewRunWAL(l)
 	if err := w.AppendMeta(RunMeta{ID: "r-0001", Flow: "perf", User: "alice"}); err != nil {

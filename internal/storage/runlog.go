@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -13,7 +15,9 @@ import (
 // every further record is one trace.Event, with UnitCommitted events
 // additionally carrying the unit's committed artifacts (UnitCommit) so
 // recovery can rebuild the datastore, the history and the memo cache
-// from the log alone.
+// from the log alone. Every record opens with the hash link to its
+// predecessor (link.go), computed by the writer goroutine, so the one
+// log is also the run's tamper-evident provenance record.
 //
 // Durability discipline: the executor's coordinator appends records
 // inline (cheap — an encode and a buffered copy) while a single writer
@@ -26,9 +30,16 @@ import (
 // by syncEvery; a crash inside it loses only that suffix, and recovery
 // re-executes the affected units (never half of one).
 
+// FormatVersion is the run-log format AppendMeta stamps into RunMeta:
+// 2 is the hash-linked format. Logs without it (written before the
+// records were linked) are refused by RecoverRun, not migrated.
+const FormatVersion = 2
+
 // RunMeta names a run: the first record of its WAL, written at
 // submission. Recovery uses it to rebuild the session and flow the run
-// executed so the replanned IDs match the logged ones.
+// executed so the replanned IDs match the logged ones — together with
+// replanning, it determines every instance's derivation (type, tool,
+// inputs), which is why the log needs no separate derivation record.
 type RunMeta struct {
 	// ID is the run's label (service run id, Event.Run before masking).
 	ID string `json:"id"`
@@ -36,6 +47,11 @@ type RunMeta struct {
 	Flow string `json:"flow"`
 	// User is the submitting designer.
 	User string `json:"user"`
+	// Version is the log format, stamped by AppendMeta.
+	Version int `json:"version"`
+	// Scenario is a scenario submission's declarative body, empty for
+	// menu flows.
+	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
 // UnitCommit is the durable payload of one committed unit, attached to
@@ -57,7 +73,9 @@ type UnitCommit struct {
 	MemoKey string `json:"memo_key,omitempty"`
 }
 
-// Record is the WAL record envelope: exactly one field is set.
+// Record is the WAL record envelope: exactly one of Meta and Event is
+// set. The record's leading "prev" link is checked on the raw bytes
+// (VerifyLinks) and not decoded.
 type Record struct {
 	Meta  *RunMeta     `json:"meta,omitempty"`
 	Event *trace.Event `json:"event,omitempty"`
@@ -80,9 +98,10 @@ const (
 // dropped, so a full disk degrades to a non-durable run that still
 // finishes and reports the failure once.
 type RunWAL struct {
-	log Log
-	ch  chan walMsg
-	wg  sync.WaitGroup
+	log  Log
+	ch   chan walMsg
+	wg   sync.WaitGroup
+	head Digest // digest of the log's last record; owned by the writer
 
 	mu  sync.Mutex
 	err error
@@ -99,11 +118,18 @@ type walMsg struct {
 	ack    chan error  // barrier acknowledgement
 }
 
-// NewRunWAL starts the writer goroutine over a Log. The caller keeps
+// NewRunWAL starts the writer goroutine over a Log. Its first record
+// links to the last record the log already holds (a resumed run's
+// rewound prefix), so a resumed log stays one chain. The caller keeps
 // ownership of the Log and must Close the RunWAL (which does not close
 // the Log) when the run is over.
 func NewRunWAL(l Log) *RunWAL {
 	w := &RunWAL{log: l, ch: make(chan walMsg, 4096)}
+	if recs, err := l.Committed(); err != nil {
+		w.fail(err)
+	} else if n := len(recs); n > 0 {
+		w.head = DigestOf(recs[n-1])
+	}
 	w.wg.Add(1)
 	go w.writer()
 	return w
@@ -170,14 +196,15 @@ func (w *RunWAL) writer() {
 			}
 			if m.meta != nil || m.ev.Kind != "" {
 				if w.Err() == nil {
-					// Encoding happens here, on the writer, into a
-					// reused buffer (Log.Append copies) — the
+					// Encoding and linking happen here, on the writer,
+					// into a reused buffer (Log.Append copies) — the
 					// coordinator's append is a copy into a buffered
 					// channel, nothing more.
-					buf = appendWALRecord(buf[:0], m.meta, &m.ev, m.commit)
+					buf = appendWALRecord(buf[:0], w.head, m.meta, &m.ev, m.commit)
 					if err := w.log.Append(buf); err != nil {
 						w.fail(err)
 					} else {
+						w.head = DigestOf(buf)
 						pending += len(buf)
 					}
 				}
@@ -218,9 +245,18 @@ func (w *RunWAL) Err() error {
 	return w.err
 }
 
-// AppendMeta writes the run's identity record and barriers, so a
-// submission is durable before it is acknowledged.
+// AppendMeta stamps FormatVersion, writes the run's identity record
+// and barriers, so a submission is durable before it is acknowledged.
+// A scenario body is compacted; one that is not JSON is refused.
 func (w *RunWAL) AppendMeta(m RunMeta) error {
+	m.Version = FormatVersion
+	if len(m.Scenario) > 0 {
+		var b bytes.Buffer
+		if err := json.Compact(&b, m.Scenario); err != nil {
+			return fmt.Errorf("storage: run %s scenario: %w", m.ID, err)
+		}
+		m.Scenario = b.Bytes()
+	}
 	w.ch <- walMsg{meta: &m}
 	return w.Barrier()
 }
@@ -243,6 +279,11 @@ func (w *RunWAL) Barrier() error {
 	w.ch <- walMsg{ack: ack}
 	return <-ack
 }
+
+// Head returns the digest of the log's last record as the writer left
+// it: through the links, it vouches for every record. Valid once Close
+// has returned.
+func (w *RunWAL) Head() Digest { return w.head }
 
 // Close drains, syncs and stops the writer. The underlying Log stays
 // open (the caller owns it).
